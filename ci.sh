@@ -114,10 +114,18 @@ cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
 # running KpjService; after every batch, all algorithms × {landmarks,
 # none} must be bit-identical to a fresh engine built from the updated
 # graph, and the incrementally repaired landmark tables must equal a
-# full rebuild. INTERLEAVE_SECONDS lengthens the box.
+# full rebuild. Seeded rounds pin the old epoch, so both ways of writing
+# a new epoch (into the retired previous one, or into a full copy) are
+# checked; the summary counts them, and the stage fails if no epoch was
+# written into a retired one. INTERLEAVE_SECONDS lengthens the box.
 echo "==> live-update interleaving oracle (seed 0xBEEF, <= ${INTERLEAVE_SECONDS:-30}s)"
-cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
-  --interleave --seed 48879 --max-seconds "${INTERLEAVE_SECONDS:-30}"
+INTERLEAVE_OUT=$(cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
+  --interleave --seed 48879 --max-seconds "${INTERLEAVE_SECONDS:-30}")
+echo "$INTERLEAVE_OUT"
+echo "$INTERLEAVE_OUT" | grep -Eq 'reused=[1-9][0-9]* copied=[1-9]' || {
+  echo "interleave oracle did not exercise both epoch buffer paths" >&2
+  exit 1
+}
 
 # Live-update serving smoke: 10% of the loadgen stream re-weights edges
 # (epoch swap + landmark repair) while queries keep completing on their

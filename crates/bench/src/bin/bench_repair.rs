@@ -4,10 +4,14 @@
 //! For each road-network scale and update-batch size: draw a seeded batch
 //! of weight re-weightings from the graph's own edges, apply them
 //! copy-on-write, then time `LandmarkIndex::repaired` (bounded Dijkstra
-//! from the changed edges) and `LandmarkIndex::rebuilt` (full
-//! re-Dijkstra, same landmark set) over several rounds. Equality is
-//! asserted every round — a repair that drifted from the rebuild would
-//! abort the bench. Markdown table on stdout; feeds EXPERIMENTS.md.
+//! from the changed edges, on a fresh copy of the tables),
+//! `LandmarkIndex::repaired_reusing` (the same repair written into the
+//! previous round's result, patched through its journal — what the
+//! service does once the previous epoch has retired) and
+//! `LandmarkIndex::rebuilt` (full re-Dijkstra, same landmark set) over
+//! several rounds. Both repairs are asserted equal to the rebuild every
+//! round — a repair that drifted would abort the bench. Markdown table on
+//! stdout; feeds EXPERIMENTS.md.
 //!
 //! A second table covers the reduced deployment: the same road graphs
 //! contracted by `kpj_graph::reduce`, with update batches aimed at chain
@@ -61,15 +65,21 @@ fn main() {
         }
     }
 
-    println!("| nodes | arcs | landmarks | batch | repair ms (mean) | rebuild ms (mean) | speedup | affected nodes (mean) |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| nodes | arcs | landmarks | batch | repair ms (mean) | repair into spare ms (mean) | rebuild ms (mean) | speedup | affected nodes (mean) |");
+    println!("|---|---|---|---|---|---|---|---|---|");
     for scale in SCALES {
         let g0 = RoadConfig::new(scale.nodes, scale.arcs, seed).generate();
         let idx0 = LandmarkIndex::build(&g0, landmarks, SelectionStrategy::Farthest, seed);
         for &batch in BATCHES {
             let mut repair_ns = 0u128;
+            let mut spare_ns = 0u128;
             let mut rebuild_ns = 0u128;
             let mut affected = 0u64;
+            // The spare starts as a copy of `idx0`; afterwards it is the
+            // previous round's result, which differs from `idx0` exactly
+            // at the entries its journal lists.
+            let mut spare = Some(idx0.clone());
+            let mut journal = Vec::new();
             // Each round updates the *original* graph (independent
             // batches, not an accumulating walk) so rounds are i.i.d.
             for round in 0..rounds {
@@ -82,20 +92,31 @@ fn main() {
                 affected += stats.affected_nodes;
 
                 let t0 = Instant::now();
+                let (in_spare, _) = idx0.repaired_reusing(&g1, &deltas, spare.take(), &mut journal);
+                spare_ns += t0.elapsed().as_nanos();
+
+                let t0 = Instant::now();
                 let rebuilt = idx0.rebuilt(&g1);
                 rebuild_ns += t0.elapsed().as_nanos();
 
                 assert!(repaired == rebuilt, "repair drifted from rebuild");
+                assert!(
+                    in_spare == rebuilt,
+                    "repair into spare drifted from rebuild"
+                );
+                spare = Some(in_spare);
             }
             let repair_ms = repair_ns as f64 / rounds as f64 / 1e6;
+            let spare_ms = spare_ns as f64 / rounds as f64 / 1e6;
             let rebuild_ms = rebuild_ns as f64 / rounds as f64 / 1e6;
             println!(
-                "| {} | {} | {} | {} | {:.2} | {:.2} | {:.1}x | {:.0} |",
+                "| {} | {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.1}x | {:.0} |",
                 scale.nodes,
                 scale.arcs,
                 landmarks,
                 batch,
                 repair_ms,
+                spare_ms,
                 rebuild_ms,
                 rebuild_ms / repair_ms,
                 affected as f64 / rounds as f64,

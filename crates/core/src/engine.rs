@@ -196,6 +196,18 @@ pub struct QueryEngine<'g> {
     /// every emitted path is spliced through, so callers only ever see
     /// original-id node sequences (see `kpj_graph::reduce`).
     reduction: Option<&'g Reduction>,
+    warm: ParkedEngine,
+}
+
+/// Everything a [`QueryEngine`] owns besides the graph it answers on:
+/// its knobs and all per-query scratch. The scratch is sized by `n`,
+/// epoch-stamped and reset per query, and borrows nothing, so it stays
+/// valid for any graph with the same node count — in particular for
+/// every weight-updated version of one graph. [`QueryEngine::park`]
+/// detaches it; [`ParkedEngine::retarget`] attaches it to the next
+/// version without re-allocating a single `n`-sized buffer.
+pub struct ParkedEngine {
+    node_count: usize,
     alpha: f64,
     scratch: SubspaceScratch,
     cand: CandidateScratch,
@@ -221,6 +233,41 @@ pub struct QueryEngine<'g> {
     /// Lazily built worker pool (kept across queries; grows, never
     /// shrinks — [`ParPool::set_limit`] caps participation per query).
     par: Option<ParPool>,
+}
+
+impl ParkedEngine {
+    /// Attach the warm state to `g` (plus its landmark index and
+    /// reduction, if any). Knobs — `α`, intra-query threads, trace
+    /// sampling — carry over; every scratch buffer is reused as is.
+    ///
+    /// # Panics
+    /// Panics if `g`'s node count differs from the one the scratch was
+    /// sized for, or if the index/reduction does not match `g`.
+    pub fn retarget<'h>(
+        self,
+        g: &'h Graph,
+        landmarks: Option<&'h LandmarkIndex>,
+        reduction: Option<&'h Reduction>,
+    ) -> QueryEngine<'h> {
+        assert_eq!(
+            self.node_count,
+            g.node_count(),
+            "engine scratch was sized for another graph"
+        );
+        let mut engine = QueryEngine {
+            g,
+            landmarks: None,
+            reduction: None,
+            warm: self,
+        };
+        if let Some(idx) = landmarks {
+            engine = engine.with_landmarks(idx);
+        }
+        if let Some(red) = reduction {
+            engine = engine.with_reduction(red);
+        }
+        engine
+    }
 }
 
 /// [`PathSink`] adapter interposed by [`QueryEngine::query_core`] when a
@@ -250,24 +297,27 @@ impl<'g> QueryEngine<'g> {
             g,
             landmarks: None,
             reduction: None,
-            alpha: 1.1,
-            scratch: SubspaceScratch::new(n),
-            cand: CandidateScratch::new(n),
-            target_set: TimestampedSet::new(n),
-            source_set: TimestampedSet::new(n),
-            sptp: SptpStore::new(n),
-            spti: SptiStore::new(n),
-            store: PathStore::new(),
-            tree: PseudoTree::new(VIRTUAL_NODE),
-            src_buf: Vec::new(),
-            tgt_buf: Vec::new(),
-            expand_buf: Vec::new(),
-            spt_scratch: None,
-            par_threads: std::env::var("KPJ_PAR_THREADS")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(0),
-            par: None,
+            warm: ParkedEngine {
+                node_count: n,
+                alpha: 1.1,
+                scratch: SubspaceScratch::new(n),
+                cand: CandidateScratch::new(n),
+                target_set: TimestampedSet::new(n),
+                source_set: TimestampedSet::new(n),
+                sptp: SptpStore::new(n),
+                spti: SptiStore::new(n),
+                store: PathStore::new(),
+                tree: PseudoTree::new(VIRTUAL_NODE),
+                src_buf: Vec::new(),
+                tgt_buf: Vec::new(),
+                expand_buf: Vec::new(),
+                spt_scratch: None,
+                par_threads: std::env::var("KPJ_PAR_THREADS")
+                    .ok()
+                    .and_then(|s| s.trim().parse().ok())
+                    .unwrap_or(0),
+                par: None,
+            },
         }
     }
 
@@ -310,7 +360,7 @@ impl<'g> QueryEngine<'g> {
     /// Panics unless `α > 1`.
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         assert!(alpha > 1.0, "α must exceed 1");
-        self.alpha = alpha;
+        self.warm.alpha = alpha;
         self
     }
 
@@ -334,18 +384,39 @@ impl<'g> QueryEngine<'g> {
     /// zero-allocation guarantee of
     /// [`query_multi_into`](QueryEngine::query_multi_into).
     pub fn set_par_threads(&mut self, n: usize) {
-        self.par_threads = n;
+        self.warm.par_threads = n;
     }
 
     /// Current intra-query parallelism level (see
     /// [`set_par_threads`](QueryEngine::set_par_threads)).
     pub fn par_threads(&self) -> usize {
-        self.par_threads
+        self.warm.par_threads
     }
 
     /// The graph this engine answers queries on.
     pub fn graph(&self) -> &'g Graph {
         self.g
+    }
+
+    /// Detach the engine from its graph, keeping every scratch buffer
+    /// warm (see [`ParkedEngine`]).
+    pub fn park(self) -> ParkedEngine {
+        self.warm
+    }
+
+    /// Move the warm engine onto another graph with the same node count —
+    /// typically the next weight-updated version of its graph — together
+    /// with that graph's landmark index and reduction. Equivalent to
+    /// building a fresh engine with the same knobs, minus the `O(n)`
+    /// allocations: answers are identical, and a warmed engine keeps
+    /// answering allocation-free.
+    pub fn retarget<'h>(
+        self,
+        g: &'h Graph,
+        landmarks: Option<&'h LandmarkIndex>,
+        reduction: Option<&'h Reduction>,
+    ) -> QueryEngine<'h> {
+        self.park().retarget(g, landmarks, reduction)
     }
 
     /// True if the engine uses landmark lower bounds.
@@ -358,20 +429,20 @@ impl<'g> QueryEngine<'g> {
     /// allocation-free either way; without the `trace` cargo feature this
     /// is a no-op.
     pub fn set_trace_sampling(&mut self, every: u32) {
-        self.scratch.trace.set_sampling(every);
+        self.warm.scratch.trace.set_sampling(every);
     }
 
     /// The span trace of the most recent (sampled) query, oldest first,
     /// as two contiguous halves of the span ring. Empty when the query
     /// was not sampled or tracing is compiled out.
     pub fn trace_spans(&self) -> (&[SpanRecord], &[SpanRecord]) {
-        self.scratch.trace.spans()
+        self.warm.scratch.trace.spans()
     }
 
     /// Spans evicted from the trace ring by the most recent query (0
     /// unless the query recorded more than the ring capacity).
     pub fn trace_dropped(&self) -> u64 {
-        self.scratch.trace.dropped()
+        self.warm.scratch.trace.dropped()
     }
 
     /// A KPJ query `{s, T, k}` (§2): top-`k` shortest simple paths from
@@ -567,50 +638,50 @@ impl<'g> QueryEngine<'g> {
         if targets.is_empty() || k == 0 {
             return Ok(());
         }
-        if self.par_threads >= 2 {
+        if self.warm.par_threads >= 2 {
             // Grow-only pool: rebuilding allocates, so it happens at most
             // once per high-water mark; repeat queries only flip the
             // allocation-free participation cap.
-            if self.par.as_ref().map_or(0, |p| p.workers()) < self.par_threads {
-                self.par = Some(ParPool::new(self.par_threads, self.g.node_count()));
+            if self.warm.par.as_ref().map_or(0, |p| p.workers()) < self.warm.par_threads {
+                self.warm.par = Some(ParPool::new(self.warm.par_threads, self.g.node_count()));
             }
-            if let Some(pool) = &self.par {
-                pool.set_limit(self.par_threads);
+            if let Some(pool) = &self.warm.par {
+                pool.set_limit(self.warm.par_threads);
             }
         }
-        self.scratch.trace.begin();
+        self.warm.scratch.trace.begin();
 
-        let mut src = std::mem::take(&mut self.src_buf);
+        let mut src = std::mem::take(&mut self.warm.src_buf);
         src.clear();
         src.extend_from_slice(sources);
         src.sort_unstable();
         src.dedup();
-        let mut tgt = std::mem::take(&mut self.tgt_buf);
+        let mut tgt = std::mem::take(&mut self.warm.tgt_buf);
         tgt.clear();
         tgt.extend_from_slice(targets);
         tgt.sort_unstable();
         tgt.dedup();
 
-        self.target_set.clear();
+        self.warm.target_set.clear();
         for &t in &tgt {
-            self.target_set.insert(t as usize);
+            self.warm.target_set.insert(t as usize);
         }
-        self.source_set.clear();
+        self.warm.source_set.clear();
         for &s in &src {
-            self.source_set.insert(s as usize);
+            self.warm.source_set.insert(s as usize);
         }
 
-        let tick = self.scratch.trace.start();
+        let tick = self.warm.scratch.trace.start();
         let to_targets = match self.landmarks {
             Some(idx) => TargetsLb::Alt(idx.for_targets(&tgt)),
             None => TargetsLb::Zero,
         };
         let from_sources = SourceLb::new(self.landmarks, &src);
-        self.scratch.trace.record(Stage::LandmarkBounds, tick);
+        self.warm.scratch.trace.record(Stage::LandmarkBounds, tick);
 
-        let mut store = std::mem::take(&mut self.store);
+        let mut store = std::mem::take(&mut self.warm.store);
         store.reset();
-        let mut tree = std::mem::take(&mut self.tree);
+        let mut tree = std::mem::take(&mut self.warm.tree);
         match self.reduction {
             // Reduced graph: splice contracted chains back into every
             // emitted path before the caller's sink sees it. The buffer
@@ -621,7 +692,7 @@ impl<'g> QueryEngine<'g> {
                     inner: sink,
                     g: self.g,
                     red,
-                    buf: std::mem::take(&mut self.expand_buf),
+                    buf: std::mem::take(&mut self.warm.expand_buf),
                 };
                 self.dispatch(
                     alg,
@@ -635,7 +706,7 @@ impl<'g> QueryEngine<'g> {
                     deadline,
                     stats,
                 );
-                self.expand_buf = expander.buf;
+                self.warm.expand_buf = expander.buf;
             }
             None => self.dispatch(
                 alg,
@@ -650,10 +721,10 @@ impl<'g> QueryEngine<'g> {
                 stats,
             ),
         }
-        self.store = store;
-        self.tree = tree;
-        self.src_buf = src;
-        self.tgt_buf = tgt;
+        self.warm.store = store;
+        self.warm.tree = tree;
+        self.warm.src_buf = src;
+        self.warm.tgt_buf = tgt;
         Ok(())
     }
 
@@ -734,7 +805,7 @@ impl<'g> QueryEngine<'g> {
             g: self.g,
             direction: Direction::Forward,
             fanout: sources,
-            goal_set: &self.target_set,
+            goal_set: &self.warm.target_set,
             goal_count: targets.len(),
             // SPT_P's estimate mixes exact partial-SPT distances with
             // Eq. (2) fallbacks — admissible but not consistent, so its
@@ -747,16 +818,16 @@ impl<'g> QueryEngine<'g> {
             },
             deadline,
         };
-        let par = if self.par_threads >= 2 {
-            self.par.as_ref()
+        let par = if self.warm.par_threads >= 2 {
+            self.warm.par.as_ref()
         } else {
             None
         };
         match alg {
             Algorithm::Da => run_deviation(
                 &ctx,
-                &mut self.scratch,
-                &mut self.cand,
+                &mut self.warm.scratch,
+                &mut self.warm.cand,
                 store,
                 tree,
                 DeviationMode::Plain,
@@ -768,15 +839,15 @@ impl<'g> QueryEngine<'g> {
                 // The full online reverse SPT (its construction cost is the
                 // baseline's Achilles heel the paper highlights). Pooled on
                 // the engine so repeat queries reuse its arrays.
-                let tick = self.scratch.trace.start();
-                let spt = match self.spt_scratch.take() {
+                let tick = self.warm.scratch.trace.start();
+                let spt = match self.warm.spt_scratch.take() {
                     Some(mut d) => {
                         d.rerun(self.g, Direction::Backward, targets.iter().map(|&t| (t, 0)));
                         d
                     }
                     None => DenseDijkstra::to_targets(self.g, targets),
                 };
-                self.scratch.trace.record(Stage::SptBuild, tick);
+                self.warm.scratch.trace.record(Stage::SptBuild, tick);
                 stats.nodes_settled += spt
                     .dist_slice()
                     .iter()
@@ -789,8 +860,8 @@ impl<'g> QueryEngine<'g> {
                 };
                 run_deviation(
                     &ctx,
-                    &mut self.scratch,
-                    &mut self.cand,
+                    &mut self.warm.scratch,
+                    &mut self.warm.cand,
                     store,
                     tree,
                     mode,
@@ -798,7 +869,7 @@ impl<'g> QueryEngine<'g> {
                     par,
                     stats,
                 );
-                self.spt_scratch = Some(spt);
+                self.warm.spt_scratch = Some(spt);
             }
             Algorithm::BestFirst => {
                 let mut oracle = PlainOracle {
@@ -806,7 +877,7 @@ impl<'g> QueryEngine<'g> {
                 };
                 run_best_first(
                     &ctx,
-                    &mut self.scratch,
+                    &mut self.warm.scratch,
                     store,
                     tree,
                     &mut oracle,
@@ -822,12 +893,12 @@ impl<'g> QueryEngine<'g> {
                 };
                 run_iter_bound(
                     &ctx,
-                    &mut self.scratch,
+                    &mut self.warm.scratch,
                     store,
                     tree,
                     &mut oracle,
                     sink,
-                    self.alpha,
+                    self.warm.alpha,
                     None,
                     false,
                     par,
@@ -835,32 +906,32 @@ impl<'g> QueryEngine<'g> {
                 )
             }
             Algorithm::IterBoundP => {
-                let tick = self.scratch.trace.start();
-                let init = self.sptp.build(
+                let tick = self.warm.scratch.trace.start();
+                let init = self.warm.sptp.build(
                     self.g,
                     targets,
-                    &self.source_set,
+                    &self.warm.source_set,
                     from_sources,
                     store,
                     tree,
                     stats,
                 );
-                self.scratch.trace.record(Stage::SptBuild, tick);
+                self.warm.scratch.trace.record(Stage::SptBuild, tick);
                 if init.is_none() {
                     return;
                 }
-                let sptp = &self.sptp;
+                let sptp = &self.warm.sptp;
                 let mut oracle = PlainOracle {
                     lb: |v| sptp.exact_dist(v).unwrap_or_else(|| to_targets.lb(v)),
                 };
                 run_iter_bound(
                     &ctx,
-                    &mut self.scratch,
+                    &mut self.warm.scratch,
                     store,
                     tree,
                     &mut oracle,
                     sink,
-                    self.alpha,
+                    self.warm.alpha,
                     init,
                     false,
                     par,
@@ -894,40 +965,45 @@ impl<'g> QueryEngine<'g> {
             g: self.g,
             direction: Direction::Backward,
             fanout: targets,
-            goal_set: &self.source_set,
+            goal_set: &self.warm.source_set,
             goal_count: sources.len(),
             // SPT_I estimates are exact inside the SPT and pruned outside
             // (Deferred/Unreachable) — consistent, so A* order is safe.
             order: SearchOrder::Astar,
             deadline,
         };
-        let tick = self.scratch.trace.start();
-        let init = self
-            .spti
-            .init(self.g, sources, &self.target_set, to_targets, store, stats);
-        self.scratch.trace.record(Stage::SptBuild, tick);
+        let tick = self.warm.scratch.trace.start();
+        let init = self.warm.spti.init(
+            self.g,
+            sources,
+            &self.warm.target_set,
+            to_targets,
+            store,
+            stats,
+        );
+        self.warm.scratch.trace.record(Stage::SptBuild, tick);
         if init.is_none() {
             return;
         }
         let mut oracle = SptiOracle {
             g: self.g,
-            store: &mut self.spti,
-            target_set: &self.target_set,
+            store: &mut self.warm.spti,
+            target_set: &self.warm.target_set,
             to_targets,
             from_sources,
         };
         run_iter_bound(
             &ctx,
-            &mut self.scratch,
+            &mut self.warm.scratch,
             store,
             tree,
             &mut oracle,
             sink,
-            self.alpha,
+            self.warm.alpha,
             init,
             true,
-            if self.par_threads >= 2 {
-                self.par.as_ref()
+            if self.warm.par_threads >= 2 {
+                self.warm.par.as_ref()
             } else {
                 None
             },
@@ -963,22 +1039,22 @@ impl<'g> QueryEngine<'g> {
             g: self.g,
             direction: Direction::Forward,
             fanout: sources,
-            goal_set: &self.target_set,
+            goal_set: &self.warm.target_set,
             goal_count: targets.len(),
             // Repair searches use the exact reverse-SPT distances as the
             // heuristic — consistent, so A* order is safe.
             order: SearchOrder::Astar,
             deadline,
         };
-        let tick = self.scratch.trace.start();
-        let spt = match self.spt_scratch.take() {
+        let tick = self.warm.scratch.trace.start();
+        let spt = match self.warm.spt_scratch.take() {
             Some(mut d) => {
                 d.rerun(self.g, Direction::Backward, targets.iter().map(|&t| (t, 0)));
                 d
             }
             None => DenseDijkstra::to_targets(self.g, targets),
         };
-        self.scratch.trace.record(Stage::SptBuild, tick);
+        self.warm.scratch.trace.record(Stage::SptBuild, tick);
         let reached = spt
             .dist_slice()
             .iter()
@@ -988,15 +1064,15 @@ impl<'g> QueryEngine<'g> {
         stats.spt_nodes = stats.spt_nodes.max(reached);
         run_sidetrack(
             &ctx,
-            &mut self.scratch,
+            &mut self.warm.scratch,
             store,
             tree,
             &spt,
             sink,
-            self.alpha,
+            self.warm.alpha,
             stats,
         );
-        self.spt_scratch = Some(spt);
+        self.warm.spt_scratch = Some(spt);
     }
 }
 

@@ -65,5 +65,5 @@ mod stats;
 
 pub use bounds::{SourceLb, TargetsLb};
 pub use deadline::Deadline;
-pub use engine::{Algorithm, KpjResult, QueryEngine, QueryError};
+pub use engine::{Algorithm, KpjResult, ParkedEngine, QueryEngine, QueryError};
 pub use stats::QueryStats;

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use kpj_core::{Algorithm, Deadline, QueryEngine};
-use kpj_graph::{GraphBuilder, NodeId, PathSet};
+use kpj_graph::{Graph, GraphBuilder, NodeId, PathSet, WeightUpdate};
 
 struct CountingAlloc;
 
@@ -153,6 +153,70 @@ fn warmed_engine_answers_queries_without_allocating() {
                 alg.name()
             );
         }
+    }
+}
+
+/// Move `engine` onto `g` and answer one query there.
+fn retarget_and_query<'g>(
+    engine: QueryEngine<'g>,
+    g: &'g Graph,
+    alg: Algorithm,
+    out: &mut PathSet,
+) -> QueryEngine<'g> {
+    let mut engine = engine.retarget(g, None, None);
+    engine
+        .query_multi_into(alg, &[0, 1], &[395, 397, 399], 12, Deadline::none(), out)
+        .unwrap();
+    engine
+}
+
+/// An epoch swap in the serving pool: a warmed engine retargeted onto a
+/// weight-updated version of its graph keeps every scratch buffer, so it
+/// answers there without a single allocation — and exactly like a fresh
+/// engine built on the new version.
+#[test]
+fn retargeted_engine_answers_without_allocating() {
+    let _serial = serial();
+    let g = lattice(400, 20);
+    // Re-weight edges next to both ends of the query, so the answers on
+    // the two versions differ.
+    let updates: Vec<WeightUpdate> = [0u32, 1, 20, 21, 375, 379, 398]
+        .iter()
+        .flat_map(|&v| g.out_edges(v).iter().map(move |e| (v, *e)))
+        .map(|(v, e)| WeightUpdate {
+            from: v,
+            to: e.to,
+            weight: e.weight * 5 + 3,
+        })
+        .collect();
+    let (updated, deltas) = g.with_updated_weights(&updates).unwrap();
+    assert!(!deltas.is_empty());
+    let mut out = PathSet::new();
+
+    for alg in Algorithm::ALL {
+        let want = QueryEngine::new(&updated)
+            .query_multi(alg, &[0, 1], &[395, 397, 399], 12)
+            .unwrap()
+            .paths;
+        // Warm-up on both versions grows every pooled buffer to what
+        // either answer needs.
+        let mut engine = QueryEngine::new(&g);
+        for version in [&g, &updated, &g] {
+            engine = retarget_and_query(engine, version, alg, &mut out);
+        }
+        let mut slot = Some(engine);
+        let delta = min_alloc_delta(|| {
+            let engine = retarget_and_query(slot.take().unwrap(), &updated, alg, &mut out);
+            assert_eq!(out, want, "{}: retargeted answer differs", alg.name());
+            slot = Some(retarget_and_query(engine, &g, alg, &mut out));
+        });
+        assert_eq!(
+            delta,
+            0,
+            "{}: {delta} heap allocations across a retarget and a query",
+            alg.name()
+        );
+        assert_ne!(out, want, "{}: the update changed no answer", alg.name());
     }
 }
 

@@ -135,6 +135,25 @@ impl Graph {
             && self.in_edges.is_mapped()
     }
 
+    /// True if every CSR array lives on the heap rather than in a mapping:
+    /// a uniquely owned such graph can be recycled as the buffer of a
+    /// later version ([`Graph::with_updated_weights_reusing`]).
+    pub fn is_owned(&self) -> bool {
+        !(self.out_offsets.is_mapped()
+            || self.out_edges.is_mapped()
+            || self.in_offsets.is_mapped()
+            || self.in_edges.is_mapped())
+    }
+
+    /// Mutable `(out_edges, in_edges)` of an owned graph; the offsets
+    /// (the topology) stay read-only.
+    pub(crate) fn edges_mut(&mut self) -> Option<(&mut [EdgeRef], &mut [EdgeRef])> {
+        Some((
+            self.out_edges.as_mut_slice()?,
+            self.in_edges.as_mut_slice()?,
+        ))
+    }
+
     /// The raw CSR sections `(out_offsets, out_edges, in_offsets, in_edges)`
     /// — what the v2 writer serializes.
     pub fn sections(&self) -> (&[u32], &[EdgeRef], &[u32], &[EdgeRef]) {

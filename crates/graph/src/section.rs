@@ -83,6 +83,16 @@ impl<T: 'static> SectionBuf<T> {
         matches!(self.inner, Inner::Mapped { .. })
     }
 
+    /// Mutable view of an owned buffer; `None` for a mapped one, whose
+    /// bytes are read-only by contract. Only a uniquely owned value can
+    /// reach this, so recycling a retired buffer never races a reader.
+    pub fn as_mut_slice(&mut self) -> Option<&mut [T]> {
+        match &mut self.inner {
+            Inner::Owned(b) => Some(b),
+            Inner::Mapped { .. } => None,
+        }
+    }
+
     /// The slice view.
     #[inline]
     pub fn as_slice(&self) -> &[T] {

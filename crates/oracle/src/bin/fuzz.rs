@@ -18,13 +18,16 @@
 //! every batch the live epoch (repaired landmarks, epoch-scoped cache)
 //! must agree bit-for-bit with a freshly built engine. Interleaving
 //! failures are inherently stateful, so they report the seed instead of
-//! shrinking to a replay file.
+//! shrinking to a replay file. The summary line counts the epochs written
+//! into the retired previous epoch's buffers (`reused`) and into a full
+//! copy (`copied`); a run of 20 or more cases that never reused exits
+//! non-zero, because the double buffer then went unchecked.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use kpj_oracle::{
-    check_case, check_interleaving, format_case, parse_case, shrink_case, OracleCase,
+    check_case, check_interleaving, format_case, parse_case, shrink_case, OracleCase, UpdatePaths,
 };
 
 struct Args {
@@ -122,9 +125,14 @@ fn run_replay(path: &str) -> ExitCode {
     }
 }
 
+/// An interleave run at least this long must have taken the buffer-reuse
+/// path; otherwise the double buffer went unchecked.
+const MIN_ROUNDS_FOR_REUSE: u64 = 20;
+
 fn run_interleave(args: &Args) -> ExitCode {
     let deadline = Instant::now() + Duration::from_secs(args.max_seconds);
     let mut round = 0u64;
+    let mut paths = UpdatePaths::default();
     loop {
         if let Some(rounds) = args.rounds {
             if round >= rounds {
@@ -135,17 +143,26 @@ fn run_interleave(args: &Args) -> ExitCode {
             break;
         }
         let seed = args.seed.wrapping_add(round);
-        if let Err(v) = check_interleaving(seed) {
-            eprintln!("seed {seed}: VIOLATION {v}");
-            eprintln!("re-run with: kpj-fuzz --interleave --seed {seed} --rounds 1");
-            return ExitCode::FAILURE;
+        match check_interleaving(seed) {
+            Ok(p) => paths += p,
+            Err(v) => {
+                eprintln!("seed {seed}: VIOLATION {v}");
+                eprintln!("re-run with: kpj-fuzz --interleave --seed {seed} --rounds 1");
+                return ExitCode::FAILURE;
+            }
         }
         round += 1;
     }
     println!(
-        "kpj-fuzz: {round} interleaving cases from seed {:#x}, 0 violations",
-        args.seed
+        "kpj-fuzz: {round} interleaving cases from seed {:#x}, 0 violations; epoch buffers: reused={} copied={}",
+        args.seed, paths.reused, paths.copied
     );
+    if round >= MIN_ROUNDS_FOR_REUSE && paths.reused == 0 {
+        eprintln!(
+            "kpj-fuzz: no update reused the retired epoch's buffers: the reuse path went unchecked"
+        );
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }
 

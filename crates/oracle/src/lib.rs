@@ -55,7 +55,7 @@ pub mod replay;
 pub mod shrink;
 
 pub use generate::{GraphCategory, OracleCase};
-pub use interleave::check_interleaving;
+pub use interleave::{check_interleaving, UpdatePaths};
 pub use invariants::{check_case, Violation};
 pub use replay::{format_case, parse_case};
 pub use shrink::shrink_case;

@@ -6,11 +6,13 @@
 //! current epoch at admission ([`EpochCell::pin`], a lock-guarded
 //! `Arc::clone`, no allocation) and run to completion on it; the updater
 //! builds the next version off to the side and **publishes** it with an
-//! atomic pointer swap. Nothing is ever mutated in place, so readers need
-//! no fences beyond the `RwLock` read, and an old epoch **retires**
-//! (frees its graph and tables) the moment its last pinned query drops
-//! its `Arc` — classic RCU with reference counts standing in for the
-//! grace period.
+//! atomic pointer swap. A published epoch is never mutated, so readers
+//! need no fences beyond the `RwLock` read, and an old epoch **retires**
+//! the moment its last pinned query drops its `Arc` — classic RCU with
+//! reference counts standing in for the grace period. The updater keeps
+//! the previous epoch's graph and tables and, once they have retired
+//! (no reader can reach them any more), writes the next version into
+//! them instead of copying the current one (`KpjService::apply_update`).
 //!
 //! The epoch id is also the cache-coherence token: `CacheKey` includes
 //! it, so an answer computed on epoch `e` can only ever be returned to a

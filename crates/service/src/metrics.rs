@@ -173,6 +173,9 @@ pub struct Metrics {
     epoch_swaps: AtomicU64,
     /// Distinct edges whose weight changed across all published batches.
     edges_updated: AtomicU64,
+    /// Published batches written into the retired previous epoch's
+    /// buffers (`[0]`) or into a full copy of the current one (`[1]`).
+    update_buffers: [AtomicU64; 2],
     /// End-to-end latency over every query regardless of algorithm (the
     /// per-algorithm split lives in `registry` under [`Stage::Total`]).
     latency: Histogram,
@@ -213,6 +216,7 @@ impl Metrics {
             paths_returned: AtomicU64::new(0),
             epoch_swaps: AtomicU64::new(0),
             edges_updated: AtomicU64::new(0),
+            update_buffers: [AtomicU64::new(0), AtomicU64::new(0)],
             latency: Histogram::default(),
             repair: Histogram::default(),
             registry: StageRegistry::new(
@@ -302,11 +306,13 @@ impl Metrics {
     }
 
     /// Record a published weight-update batch: how many distinct edges it
-    /// touched and how long the landmark repair took (zero duration when
-    /// the service runs without landmarks).
-    pub fn record_update(&self, edges: u64, repair: Duration) {
+    /// touched, how long the landmark repair took (zero duration when
+    /// the service runs without landmarks), and whether its epoch reused
+    /// the retired previous epoch's buffers or copied the current one.
+    pub fn record_update(&self, edges: u64, repair: Duration, reused: bool) {
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
         self.edges_updated.fetch_add(edges, Ordering::Relaxed);
+        self.update_buffers[usize::from(!reused)].fetch_add(1, Ordering::Relaxed);
         self.repair.record(repair);
     }
 
@@ -348,6 +354,17 @@ impl Metrics {
             ("edges_updated", self.edges_updated.load(Ordering::Relaxed)),
         ] {
             let _ = writeln!(out, "kpj_service_events_total{{event=\"{event}\"}} {value}");
+        }
+        out.push_str(
+            "# HELP kpj_update_buffers_total Published update batches by where the new epoch was written: the retired previous epoch's buffers (reused) or a full copy of the current one (copied).\n\
+             # TYPE kpj_update_buffers_total counter\n",
+        );
+        for (path, counter) in ["reused", "copied"].iter().zip(&self.update_buffers) {
+            let _ = writeln!(
+                out,
+                "kpj_update_buffers_total{{path=\"{path}\"}} {}",
+                counter.load(Ordering::Relaxed)
+            );
         }
         out.push_str(
             "# HELP kpj_landmark_repair_us Landmark repair time per published update batch.\n\
@@ -411,6 +428,8 @@ impl Metrics {
             paths_returned: self.paths_returned.load(Ordering::Relaxed),
             epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
             edges_updated: self.edges_updated.load(Ordering::Relaxed),
+            buffers_reused: self.update_buffers[0].load(Ordering::Relaxed),
+            buffers_copied: self.update_buffers[1].load(Ordering::Relaxed),
             repair_mean_us: self.repair.mean_us(),
             repair_max_us: self.repair.max_us(),
             latency_count: self.latency.count(),
@@ -463,6 +482,11 @@ pub struct MetricsSnapshot {
     pub epoch_swaps: u64,
     /// Distinct edges changed across all published batches.
     pub edges_updated: u64,
+    /// Published batches written into the retired previous epoch.
+    pub buffers_reused: u64,
+    /// Published batches written into a full copy of the current epoch
+    /// (the previous one was still pinned, or memory-mapped).
+    pub buffers_copied: u64,
     /// Mean landmark-repair time per published batch, µs.
     pub repair_mean_us: u64,
     /// Worst landmark-repair time, µs.
@@ -518,8 +542,13 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "updates: epoch_swaps={} edges_updated={} repair_us: mean={} max={}",
-            self.epoch_swaps, self.edges_updated, self.repair_mean_us, self.repair_max_us
+            "updates: epoch_swaps={} edges_updated={} buffers: reused={} copied={} repair_us: mean={} max={}",
+            self.epoch_swaps,
+            self.edges_updated,
+            self.buffers_reused,
+            self.buffers_copied,
+            self.repair_mean_us,
+            self.repair_max_us
         )?;
         writeln!(
             f,

@@ -12,13 +12,15 @@
 //! ## Graph epochs
 //!
 //! Every job carries the [`GraphEpoch`] pinned at admission, and each
-//! worker keeps its engine built against the epoch of the job it is
-//! running: when a popped job's epoch differs, the worker drops the old
-//! engine (releasing its pin) and rebuilds against the new one. Pins are
-//! taken in admission order and publishes are monotonic, so the queue is
-//! monotone in epoch id and a worker rebuilds at most once per swap —
-//! warmed scratch (and the zero-alloc steady state) survives for as long
-//! as the epoch does.
+//! worker keeps its engine attached to the epoch of the job it is
+//! running: when a popped job's epoch differs, the worker parks the
+//! engine (releasing its pin) and retargets it onto the new epoch's
+//! graph. Weight updates never change the node count, so the engine's
+//! `n`-sized scratch carries over untouched and a swap costs no
+//! allocation — warmed scratch (and the zero-alloc steady state)
+//! survives every epoch for the life of the worker. Pins are taken in
+//! admission order and publishes are monotonic, so the queue is
+//! monotone in epoch id and a worker retargets at most once per swap.
 //!
 //! ## Reply-slot integrity
 //!
@@ -34,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kpj_core::{Algorithm, Deadline, KpjResult, QueryEngine};
+use kpj_core::{Algorithm, Deadline, KpjResult, ParkedEngine, QueryEngine};
 use kpj_graph::{Graph, NodeId, Reduction};
 use kpj_landmark::LandmarkIndex;
 use kpj_obs::Stage;
@@ -613,8 +615,10 @@ fn worker_loop(
     par_threads_max: usize,
 ) {
     // A job popped under one epoch's engine that belongs to the next
-    // epoch; carried across the rebuild below.
+    // epoch; carried across the retarget below.
     let mut carry: Option<Job> = None;
+    // The engine's warm scratch between epochs, detached from any graph.
+    let mut parked: Option<ParkedEngine> = None;
     'epoch: loop {
         let mut job = match carry.take().or_else(|| pop_job(shared)) {
             Some(job) => job,
@@ -627,7 +631,10 @@ fn worker_loop(
         let graph: &Graph = epoch.graph();
         let landmarks: Option<&LandmarkIndex> = epoch.landmarks().map(Arc::as_ref);
         let reduction: Option<&Reduction> = epoch.reduction().map(Arc::as_ref);
-        let mut engine = build_engine(graph, landmarks, reduction, hooks);
+        let mut engine = match parked.take() {
+            Some(warm) => warm.retarget(graph, landmarks, reduction),
+            None => build_engine(graph, landmarks, reduction, hooks),
+        };
         loop {
             shared.executed.fetch_add(1, Ordering::Relaxed);
             let queue_wait = job.submitted.elapsed();
@@ -700,16 +707,17 @@ fn worker_loop(
                     if Arc::ptr_eq(&next.epoch, &epoch) {
                         next
                     } else {
-                        // Epoch switch: rebuild the engine against the
-                        // new graph. The queue is monotone in epoch id,
-                        // so this happens at most once per published
-                        // update.
+                        // Epoch switch: retarget the engine onto the new
+                        // graph. The queue is monotone in epoch id, so
+                        // this happens at most once per published update.
                         carry = Some(next);
+                        parked = Some(engine.park());
                         continue 'epoch;
                     }
                 }
                 Next::Shed => {
                     note_shed(hooks, &epoch);
+                    parked = Some(engine.park());
                     continue 'epoch;
                 }
                 Next::Closed => return,

@@ -354,6 +354,8 @@ fn status_response(service: &KpjService, id: Json) -> String {
     let updates = Json::Obj(vec![
         ("epoch_swaps".to_string(), Json::from(s.epoch_swaps)),
         ("edges_updated".to_string(), Json::from(s.edges_updated)),
+        ("buffers_reused".to_string(), Json::from(s.buffers_reused)),
+        ("buffers_copied".to_string(), Json::from(s.buffers_copied)),
         ("repair_mean_us".to_string(), Json::from(s.repair_mean_us)),
         ("repair_max_us".to_string(), Json::from(s.repair_max_us)),
     ]);
