@@ -19,7 +19,7 @@ KPJ_PAR_THREADS=4 cargo test --workspace -q
 
 # --test-threads=1: the counting allocator is process-global, so libtest's
 # own worker threads would bleed allocations into a measured window.
-echo "==> zero-allocation steady state, tracing enabled (count-alloc feature)"
+echo "==> zero-allocation steady state, tracing enabled, with and without landmarks and a target row (count-alloc feature)"
 cargo test -q -p kpj-core --features count-alloc --test alloc_count -- --test-threads=1
 
 echo "==> trace feature compiles out cleanly (no-default-features)"
@@ -110,20 +110,37 @@ echo "==> sidetrack differential (seed 0x51DE, <= ${SIDETRACK_DIFF_SECONDS:-30}s
 cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
   --seed 20958 --max-seconds "${SIDETRACK_DIFF_SECONDS:-30}"
 
+# Target-row differential: a bounded sweep on its own fixed seed. Per
+# case, every algorithm that reads target bounds answers with an exact
+# target row and without and must return the same lengths; a row for
+# another target set must change nothing; and a live service must build
+# the row on the set's second sighting, read it, and repair it exactly.
+# ROWS_DIFF_SECONDS lengthens the box.
+echo "==> target-row differential (seed 0x7A6E, <= ${ROWS_DIFF_SECONDS:-30}s)"
+cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
+  --rows --seed 31342 --max-seconds "${ROWS_DIFF_SECONDS:-30}"
+
 # Live-update oracle: interleave weight-update batches with queries on a
 # running KpjService; after every batch, all algorithms × {landmarks,
 # none} must be bit-identical to a fresh engine built from the updated
-# graph, and the incrementally repaired landmark tables must equal a
-# full rebuild. Seeded rounds pin the old epoch, so both ways of writing
-# a new epoch (into the retired previous one, or into a full copy) are
+# graph (given the from-scratch target row wherever the live answer
+# read one), the incrementally repaired landmark tables must equal a
+# full rebuild, and every repaired target row must equal a from-scratch
+# row. Seeded rounds pin the old epoch, so both ways of writing a new
+# epoch (into the retired previous one, or into a full copy) are
 # checked; the summary counts them, and the stage fails if no epoch was
-# written into a retired one. INTERLEAVE_SECONDS lengthens the box.
+# written into a retired one or no target row was compared.
+# INTERLEAVE_SECONDS lengthens the box.
 echo "==> live-update interleaving oracle (seed 0xBEEF, <= ${INTERLEAVE_SECONDS:-30}s)"
 INTERLEAVE_OUT=$(cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
   --interleave --seed 48879 --max-seconds "${INTERLEAVE_SECONDS:-30}")
 echo "$INTERLEAVE_OUT"
 echo "$INTERLEAVE_OUT" | grep -Eq 'reused=[1-9][0-9]* copied=[1-9]' || {
   echo "interleave oracle did not exercise both epoch buffer paths" >&2
+  exit 1
+}
+echo "$INTERLEAVE_OUT" | grep -Eq 'target rows repaired=[1-9]' || {
+  echo "interleave oracle compared no repaired target row" >&2
   exit 1
 }
 

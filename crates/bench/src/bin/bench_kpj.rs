@@ -5,7 +5,11 @@
 //! the Crater category) and a small-world social network — timing every
 //! algorithm and counting heap allocations per query through a counting
 //! global allocator. Results are written to `BENCH_kpj.json` so CI leaves
-//! a machine-readable perf trail for future PRs to diff against.
+//! a machine-readable perf trail for future PRs to diff against. The
+//! `target_rows` section times `IterBoundI` and `IterBound` on the road
+//! workload with the landmark Eq. (2) bound and with an exact target row
+//! for the query's category (the row the service keeps for a recurring
+//! target set).
 //!
 //! `--compare BASELINE.json` turns the trail into a gate: after the sweep
 //! the fresh report is diffed cell-by-cell (ms/query and allocs/query per
@@ -19,12 +23,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use kpj_bench::{run_batch, BatchResult, CalEnv};
 use kpj_core::{Algorithm, QueryEngine};
 use kpj_graph::{Graph, NodeId};
-use kpj_landmark::{LandmarkIndex, SelectionStrategy};
+use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
 use kpj_service::json::Json;
 use kpj_workload::social::SocialConfig;
 
@@ -178,6 +183,52 @@ fn par_axis(g: &Graph, lm: &LandmarkIndex, w: &Workload) -> Vec<ParCell> {
         }
     }
     cells
+}
+
+/// One cell pair of the target-row axis: the same warmed queries with
+/// the landmark Eq. (2) bound and with an exact target row.
+struct RowCell {
+    name: &'static str,
+    rows_off_ms: f64,
+    rows_on_ms: f64,
+    allocs_per_query_on: f64,
+}
+
+/// The algorithms the target-row axis times: the service's road
+/// algorithm and forward `IterBound`.
+const ROW_ALGS: [Algorithm; 2] = [Algorithm::IterBoundI, Algorithm::IterBound];
+
+/// Rows off vs on for [`ROW_ALGS`] at k = [`K`]; also returns the row's
+/// build time in ms (what the service pays once per target set).
+fn target_row_axis(g: &Graph, lm: &LandmarkIndex, w: &Workload) -> (f64, Vec<RowCell>) {
+    let started = Instant::now();
+    let row = Arc::new(TargetRow::build(g, &w.targets));
+    let build_ms = started.elapsed().as_secs_f64() * 1e3;
+    let cells = ROW_ALGS
+        .iter()
+        .map(|&alg| {
+            let mut off = QueryEngine::new(g).with_landmarks(lm);
+            let mut on = QueryEngine::new(g)
+                .with_landmarks(lm)
+                .with_target_row(Arc::clone(&row));
+            let m_off = measure(&mut off, alg, &w.sources, &w.targets);
+            let m_on = measure(&mut on, alg, &w.sources, &w.targets);
+            eprintln!(
+                "  {:>12}: {:>9.3} ms/query rows off  {:>9.3} ms/query rows on  ({:.2}x)",
+                alg.name(),
+                m_off.ms_per_query,
+                m_on.ms_per_query,
+                m_off.ms_per_query / m_on.ms_per_query,
+            );
+            RowCell {
+                name: alg.name(),
+                rows_off_ms: m_off.ms_per_query,
+                rows_on_ms: m_on.ms_per_query,
+                allocs_per_query_on: m_on.allocs_per_query,
+            }
+        })
+        .collect();
+    (build_ms, cells)
 }
 
 struct Workload {
@@ -461,6 +512,15 @@ fn flatten_cells(doc: &Json) -> Vec<(String, f64)> {
             }
         }
     }
+    if let Some(Json::Obj(cells_by_alg)) = doc.get("target_rows").and_then(|t| t.get("cells")) {
+        for (aname, cell) in cells_by_alg {
+            for metric in ["rows_off_ms_per_query", "rows_on_ms_per_query"] {
+                if let Some(v) = cell.get(metric).and_then(Json::as_f64) {
+                    cells.push((format!("target_rows/{aname}/{metric}"), v));
+                }
+            }
+        }
+    }
     if let Some(Json::Obj(sweeps)) = doc.get("k_sweep") {
         for (wname, arr) in sweeps {
             for cell in arr.as_arr().unwrap_or(&[]) {
@@ -585,6 +645,11 @@ fn main() {
     };
     let social_rows = run_workload(&social_graph, &social_lm, &social);
 
+    // Target-row axis: the exact d(v, V_T) row the service keeps for a
+    // recurring set, against the per-query Eq. (2) bound.
+    eprintln!("==> target rows, road (rows off vs on, k={K})");
+    let (row_build_ms, row_cells) = target_row_axis(&cal.graph, &cal.landmarks, &road);
+
     // k-sweep axis: sidetrack vs the deviation family across k regimes.
     eprintln!("==> k sweep, road (k in {K_SWEEP:?})");
     let road_ksweep = k_sweep_axis(&cal.graph, &cal.landmarks, &road);
@@ -672,7 +737,25 @@ fn main() {
         }
         json.push_str("\n      }\n    }");
     }
-    json.push_str("\n  },\n  \"k_sweep\": {\n");
+    let _ = write!(
+        json,
+        "\n  }},\n  \"target_rows\": {{\n    \"workload\": \"road\",\n    \"row_build_ms\": {row_build_ms:.4},\n    \"cells\": {{\n"
+    );
+    for (i, c) in row_cells.iter().enumerate() {
+        if i > 0 {
+            json.push_str(",\n");
+        }
+        let _ = write!(
+            json,
+            "      \"{}\": {{\"rows_off_ms_per_query\": {:.4}, \"rows_on_ms_per_query\": {:.4}, \"speedup\": {:.2}, \"rows_on_allocs_per_query\": {:.1}}}",
+            c.name,
+            c.rows_off_ms,
+            c.rows_on_ms,
+            c.rows_off_ms / c.rows_on_ms,
+            c.allocs_per_query_on,
+        );
+    }
+    json.push_str("\n    }\n  },\n  \"k_sweep\": {\n");
     for (wi, (name, cells)) in [("road", &road_ksweep), ("social", &social_ksweep)]
         .into_iter()
         .enumerate()

@@ -20,6 +20,11 @@
 //! shortcut re-weighting) and then repaired on the reduced graph, timing
 //! the translation separately from the repair.
 //!
+//! A third table times the same batches against one exact target row
+//! (`TargetRow`, the reverse distances to a 14-node target set the
+//! service keeps for a recurring category): repair into a fresh copy,
+//! into the previous round's row, and the from-scratch rebuild.
+//!
 //! ```text
 //! bench-repair [--rounds N] [--landmarks L] [--seed S]
 //! ```
@@ -27,7 +32,7 @@
 use std::time::Instant;
 
 use kpj_graph::{Graph, NodeId, Weight, WeightUpdate};
-use kpj_landmark::{LandmarkIndex, SelectionStrategy};
+use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
 use kpj_workload::road::RoadConfig;
 
 struct Scale {
@@ -119,6 +124,57 @@ fn main() {
                 spare_ms,
                 rebuild_ms,
                 rebuild_ms / repair_ms,
+                affected as f64 / rounds as f64,
+            );
+        }
+    }
+
+    println!();
+    println!("One exact target row (14 targets, reverse distances):");
+    println!("| nodes | arcs | batch | repair ms (mean) | repair into spare ms (mean) | rebuild ms (mean) | speedup | affected nodes (mean) |");
+    println!("|---|---|---|---|---|---|---|---|");
+    for scale in SCALES {
+        let g0 = RoadConfig::new(scale.nodes, scale.arcs, seed).generate();
+        let targets: Vec<NodeId> = (0..14)
+            .map(|i| ((i * 7919 + 13) % scale.nodes) as NodeId)
+            .collect();
+        let row0 = TargetRow::build(&g0, &targets);
+        for &batch in BATCHES {
+            let (mut repair_ns, mut spare_ns, mut rebuild_ns) = (0u128, 0u128, 0u128);
+            let mut affected = 0u64;
+            let mut spare = Some(row0.clone());
+            let mut journal = Vec::new();
+            for round in 0..rounds {
+                let updates = draw_batch(&g0, batch, seed ^ (round as u64) << 32);
+                let (g1, deltas) = g0.with_updated_weights(&updates).expect("ids in range");
+
+                let t0 = Instant::now();
+                let (repaired, stats) = row0.repaired(&g1, &deltas);
+                repair_ns += t0.elapsed().as_nanos();
+                affected += stats.affected_nodes;
+
+                let t0 = Instant::now();
+                let (in_spare, _) = row0.repaired_reusing(&g1, &deltas, spare.take(), &mut journal);
+                spare_ns += t0.elapsed().as_nanos();
+
+                let t0 = Instant::now();
+                let rebuilt = row0.rebuilt(&g1);
+                rebuild_ns += t0.elapsed().as_nanos();
+
+                assert!(repaired == rebuilt, "row repair drifted from rebuild");
+                assert!(in_spare == rebuilt, "row repair into spare drifted");
+                spare = Some(in_spare);
+            }
+            let per = |ns: u128| ns as f64 / rounds as f64 / 1e6;
+            println!(
+                "| {} | {} | {} | {:.3} | {:.3} | {:.2} | {:.0}x | {:.0} |",
+                scale.nodes,
+                scale.arcs,
+                batch,
+                per(repair_ns),
+                per(spare_ns),
+                per(rebuild_ns),
+                per(rebuild_ns) / per(spare_ns),
                 affected as f64 / rounds as f64,
             );
         }

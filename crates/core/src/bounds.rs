@@ -11,6 +11,10 @@
 //!
 //! Every oracle has a `Zero` variant implementing §6's "computing without
 //! landmark": all estimates degrade to 0 and A\* becomes Dijkstra.
+//!
+//! Beyond the paper, the towards-the-targets oracle can also be *exact*:
+//! a [`TargetRow`](kpj_landmark::TargetRow) kept for a recurring target
+//! set holds `d(v, V_T)` itself ([`TargetsLb::Exact`]).
 
 use kpj_graph::{Length, NodeId, INFINITE_LENGTH};
 use kpj_landmark::{LandmarkIndex, QueryBounds};
@@ -22,6 +26,9 @@ pub enum TargetsLb<'q> {
     Zero,
     /// Landmark Eq. (2) bounds, preprocessed for one target set.
     Alt(QueryBounds<'q>),
+    /// The exact distances `d(v, V_T)` of a target row built for this
+    /// very target set — the tightest admissible, consistent bound.
+    Exact(&'q [Length]),
 }
 
 impl TargetsLb<'_> {
@@ -32,6 +39,7 @@ impl TargetsLb<'_> {
         match self {
             TargetsLb::Zero => 0,
             TargetsLb::Alt(qb) => qb.lb_to_targets(v),
+            TargetsLb::Exact(dist) => dist[v as usize],
         }
     }
 }
@@ -59,24 +67,43 @@ pub enum SourceLb<'q> {
 impl<'q> SourceLb<'q> {
     /// Build the oracle for a source specification.
     pub fn new(index: Option<&'q LandmarkIndex>, sources: &[NodeId]) -> Self {
+        Self::new_reusing(index, sources, Vec::new())
+    }
+
+    /// [`new`](SourceLb::new) with the multi-source table written into a
+    /// caller-pooled buffer (get it back with
+    /// [`into_buffer`](SourceLb::into_buffer)), so a warmed engine sets up
+    /// GKPJ bounds without allocating.
+    pub fn new_reusing(
+        index: Option<&'q LandmarkIndex>,
+        sources: &[NodeId],
+        mut buf: Vec<Length>,
+    ) -> Self {
         match (index, sources) {
             (None, _) => SourceLb::Zero,
             (Some(idx), [s]) => SourceLb::Single(idx, *s),
             (Some(idx), _) => {
-                let max_dist = (0..idx.len())
-                    .map(|l| {
-                        sources
-                            .iter()
-                            .map(|&s| idx.landmark_distance(l, s))
-                            .max()
-                            .unwrap_or(INFINITE_LENGTH)
-                    })
-                    .collect();
+                buf.clear();
+                buf.extend((0..idx.len()).map(|l| {
+                    sources
+                        .iter()
+                        .map(|&s| idx.landmark_distance(l, s))
+                        .max()
+                        .unwrap_or(INFINITE_LENGTH)
+                }));
                 SourceLb::Multi {
                     index: idx,
-                    max_dist,
+                    max_dist: buf,
                 }
             }
+        }
+    }
+
+    /// The multi-source buffer, if this oracle owns one.
+    pub fn into_buffer(self) -> Option<Vec<Length>> {
+        match self {
+            SourceLb::Multi { max_dist, .. } => Some(max_dist),
+            SourceLb::Zero | SourceLb::Single(..) => None,
         }
     }
 
@@ -121,6 +148,17 @@ mod tests {
             b.add_bidirectional(i, i + 1, (i + 1) % 5 + 1).unwrap();
         }
         b.build()
+    }
+
+    #[test]
+    fn exact_oracle_reads_the_row() {
+        let g = path_graph(6);
+        let row = kpj_landmark::TargetRow::build(&g, &[4]);
+        let exact = TargetsLb::Exact(row.dist());
+        let d = DenseDijkstra::to_targets(&g, &[4]);
+        for v in g.nodes() {
+            assert_eq!(exact.lb(v), d.dist(v));
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! KPJ / KSP / GKPJ queries with any of [`Algorithm::ALL`] — the paper's
 //! seven algorithms plus the sidetrack-based `Sidetrack` engine.
 
+use std::sync::Arc;
+
 use kpj_graph::scratch::TimestampedSet;
 use kpj_graph::{Graph, Length, NodeId, PathRef, PathSet, PathStore, Reduction, INFINITE_LENGTH};
-use kpj_landmark::LandmarkIndex;
+use kpj_landmark::{LandmarkIndex, TargetRow};
 use kpj_obs::{SpanRecord, Stage};
 use kpj_sp::{DenseDijkstra, Direction, Estimate, SearchOrder};
 
@@ -85,6 +87,20 @@ impl Algorithm {
             Algorithm::Sidetrack => "Sidetrack",
         }
     }
+
+    /// True for the algorithms that read `lb(v, V_T)` ([`TargetsLb`]):
+    /// `BestFirst` and the `IterBound` family. Only these can use an
+    /// exact target row (see [`QueryEngine::set_target_row`]); the
+    /// deviation baselines and `Sidetrack` never consult the bound.
+    pub fn reads_target_bounds(&self) -> bool {
+        matches!(
+            self,
+            Algorithm::BestFirst
+                | Algorithm::IterBound
+                | Algorithm::IterBoundP
+                | Algorithm::IterBoundI
+        )
+    }
 }
 
 /// Result of one query: the paths (non-decreasing length, each simple,
@@ -164,12 +180,12 @@ impl std::error::Error for QueryError {}
 /// A reusable query processor for one graph.
 ///
 /// Holds all per-query scratch (epoch-stamped, reset in `O(1)`), the
-/// per-query path arena, the optional landmark index, and the `α`
-/// parameter of the iteratively bounding approaches. A warmed-up engine
-/// answers queries without heap allocation when driven through
-/// [`query_multi_into`](QueryEngine::query_multi_into) (landmark-less
-/// engines; landmark bound tables still allocate per query). Dropping the
-/// landmark index (never calling
+/// per-query path arena, the optional landmark index and target row, and
+/// the `α` parameter of the iteratively bounding approaches. A warmed-up
+/// engine answers queries without heap allocation when driven through
+/// [`query_multi_into`](QueryEngine::query_multi_into) — with or without
+/// landmarks and a target row (the per-query bound tables are pooled
+/// too). Dropping the landmark index (never calling
 /// [`with_landmarks`](QueryEngine::with_landmarks)) yields the paper's
 /// `-NL` (no-landmark) variants of every algorithm.
 ///
@@ -196,6 +212,9 @@ pub struct QueryEngine<'g> {
     /// every emitted path is spliced through, so callers only ever see
     /// original-id node sequences (see `kpj_graph::reduce`).
     reduction: Option<&'g Reduction>,
+    /// An exact `d(v, V_T)` row for one target set on `g`, read by the
+    /// queries that match it (see [`QueryEngine::set_target_row`]).
+    row: Option<Arc<TargetRow>>,
     warm: ParkedEngine,
 }
 
@@ -222,6 +241,10 @@ pub struct ParkedEngine {
     /// Pooled sorted/deduped endpoint buffers.
     src_buf: Vec<NodeId>,
     tgt_buf: Vec<NodeId>,
+    /// Pooled per-landmark bound tables: Eq. (2)'s `δ(w, t)` and the
+    /// GKPJ virtual source's `max_s δ(w, s)`.
+    target_lb_buf: Vec<Length>,
+    source_lb_buf: Vec<Length>,
     /// Pooled re-expansion buffer (original-id node sequence of the
     /// path being emitted); kept across queries like every scratch.
     expand_buf: Vec<NodeId>,
@@ -238,7 +261,8 @@ pub struct ParkedEngine {
 impl ParkedEngine {
     /// Attach the warm state to `g` (plus its landmark index and
     /// reduction, if any). Knobs — `α`, intra-query threads, trace
-    /// sampling — carry over; every scratch buffer is reused as is.
+    /// sampling — carry over; every scratch buffer is reused as is. A
+    /// target row never carries over: it belongs to one graph version.
     ///
     /// # Panics
     /// Panics if `g`'s node count differs from the one the scratch was
@@ -258,6 +282,7 @@ impl ParkedEngine {
             g,
             landmarks: None,
             reduction: None,
+            row: None,
             warm: self,
         };
         if let Some(idx) = landmarks {
@@ -297,6 +322,7 @@ impl<'g> QueryEngine<'g> {
             g,
             landmarks: None,
             reduction: None,
+            row: None,
             warm: ParkedEngine {
                 node_count: n,
                 alpha: 1.1,
@@ -310,6 +336,8 @@ impl<'g> QueryEngine<'g> {
                 tree: PseudoTree::new(VIRTUAL_NODE),
                 src_buf: Vec::new(),
                 tgt_buf: Vec::new(),
+                target_lb_buf: Vec::new(),
+                source_lb_buf: Vec::new(),
                 expand_buf: Vec::new(),
                 spt_scratch: None,
                 par_threads: std::env::var("KPJ_PAR_THREADS")
@@ -352,6 +380,38 @@ impl<'g> QueryEngine<'g> {
         );
         self.reduction = Some(red);
         self
+    }
+
+    /// Builder form of [`set_target_row`](QueryEngine::set_target_row).
+    pub fn with_target_row(mut self, row: Arc<TargetRow>) -> Self {
+        self.set_target_row(Some(row));
+        self
+    }
+
+    /// Offer an exact target-distance row built on this engine's graph.
+    /// A query of an algorithm that reads target bounds
+    /// ([`Algorithm::reads_target_bounds`]) whose normalized (sorted,
+    /// deduplicated) target set equals the row's reads `lb(v, V_T)` from
+    /// it ([`TargetsLb::Exact`]) instead of the landmark Eq. (2) bound,
+    /// and reports `target_row = 1` in its stats. Every other query runs
+    /// exactly as without the row, so a row for another set can never
+    /// change an answer. Swapping rows never allocates.
+    ///
+    /// The bound only steers the search: lengths are unchanged, but among
+    /// paths of exactly equal length the engine may return a different
+    /// representative than with Eq. (2).
+    ///
+    /// # Panics
+    /// Panics if the row was built for a different node count.
+    pub fn set_target_row(&mut self, row: Option<Arc<TargetRow>>) {
+        if let Some(row) = &row {
+            assert_eq!(
+                row.node_count(),
+                self.g.node_count(),
+                "target row does not match the graph"
+            );
+        }
+        self.row = row;
     }
 
     /// Set the τ growth factor `α > 1` (default 1.1, the paper's choice).
@@ -399,7 +459,7 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Detach the engine from its graph, keeping every scratch buffer
-    /// warm (see [`ParkedEngine`]).
+    /// warm (see [`ParkedEngine`]). The target row, if any, is released.
     pub fn park(self) -> ParkedEngine {
         self.warm
     }
@@ -506,10 +566,11 @@ impl<'g> QueryEngine<'g> {
     /// [`query_multi_deadline`](QueryEngine::query_multi_deadline):
     /// collect the answer into a caller-owned [`PathSet`] (cleared first).
     ///
-    /// A warmed-up landmark-less engine answering a repeat-shaped query
-    /// through this entry point performs zero heap allocations — all
-    /// per-query state (path arena, pseudo-tree, heaps, endpoint buffers)
-    /// is pooled on the engine, and `out` reuses its flat buffers.
+    /// A warmed-up engine — with or without landmarks and a target row —
+    /// answering a repeat-shaped query through this entry point performs
+    /// zero heap allocations: all per-query state (path arena,
+    /// pseudo-tree, heaps, endpoint and bound buffers) is pooled on the
+    /// engine, and `out` reuses its flat buffers.
     pub fn query_multi_into(
         &mut self,
         alg: Algorithm,
@@ -672,11 +733,27 @@ impl<'g> QueryEngine<'g> {
         }
 
         let tick = self.warm.scratch.trace.start();
-        let to_targets = match self.landmarks {
-            Some(idx) => TargetsLb::Alt(idx.for_targets(&tgt)),
-            None => TargetsLb::Zero,
+        // A local handle (a refcount bump) so the bound can borrow the row
+        // while the dispatch below borrows the engine mutably.
+        let row = self
+            .row
+            .clone()
+            .filter(|row| alg.reads_target_bounds() && row.targets() == &tgt[..]);
+        let to_targets = match (&row, self.landmarks) {
+            (Some(row), _) => {
+                stats.target_row = 1;
+                TargetsLb::Exact(row.dist())
+            }
+            (None, Some(idx)) => TargetsLb::Alt(
+                idx.for_targets_reusing(&tgt, std::mem::take(&mut self.warm.target_lb_buf)),
+            ),
+            (None, None) => TargetsLb::Zero,
         };
-        let from_sources = SourceLb::new(self.landmarks, &src);
+        let from_sources = SourceLb::new_reusing(
+            self.landmarks,
+            &src,
+            std::mem::take(&mut self.warm.source_lb_buf),
+        );
         self.warm.scratch.trace.record(Stage::LandmarkBounds, tick);
 
         let mut store = std::mem::take(&mut self.warm.store);
@@ -723,6 +800,12 @@ impl<'g> QueryEngine<'g> {
         }
         self.warm.store = store;
         self.warm.tree = tree;
+        if let TargetsLb::Alt(bounds) = to_targets {
+            self.warm.target_lb_buf = bounds.into_buffer();
+        }
+        if let Some(buf) = from_sources.into_buffer() {
+            self.warm.source_lb_buf = buf;
+        }
         self.warm.src_buf = src;
         self.warm.tgt_buf = tgt;
         Ok(())
@@ -1210,6 +1293,62 @@ mod tests {
                 Some(want) => assert_eq!(&lens, want, "{}", alg.name()),
             }
         }
+    }
+
+    #[test]
+    fn target_row_steers_only_matching_row_reading_queries() {
+        let (g, h) = paper_graph();
+        let idx = LandmarkIndex::build(&g, 3, SelectionStrategy::Farthest, 1);
+        // The row's set is the query's, listed in another order with a
+        // duplicate: matching is on the normalized set.
+        let mut shuffled = h.clone();
+        shuffled.reverse();
+        shuffled.push(h[0]);
+        let row = Arc::new(TargetRow::build(&g, &shuffled));
+        let other = Arc::new(TargetRow::build(&g, &h[..1]));
+        for with_lm in [false, true] {
+            for alg in Algorithm::ALL {
+                let tag = format!("{} landmarks={with_lm}", alg.name());
+                let mut plain = QueryEngine::new(&g);
+                if with_lm {
+                    plain = plain.with_landmarks(&idx);
+                }
+                let want = plain.query_multi(alg, &[0, 1], &h, 6).unwrap();
+                assert_eq!(want.stats.target_row, 0, "{tag}");
+
+                let mut rowed = QueryEngine::new(&g).with_target_row(Arc::clone(&row));
+                if with_lm {
+                    rowed = rowed.with_landmarks(&idx);
+                }
+                let got = rowed.query_multi(alg, &[0, 1], &h, 6).unwrap();
+                assert_eq!(lengths(&got), lengths(&want), "{tag}");
+                assert_eq!(
+                    got.stats.target_row,
+                    usize::from(alg.reads_target_bounds()),
+                    "{tag}"
+                );
+                if !alg.reads_target_bounds() {
+                    assert_eq!(got.paths, want.paths, "{tag}: row must be ignored");
+                }
+
+                // A row for another set is never read.
+                rowed.set_target_row(Some(Arc::clone(&other)));
+                let fallback = rowed.query_multi(alg, &[0, 1], &h, 6).unwrap();
+                assert_eq!(fallback.paths, want.paths, "{tag}: mismatched row");
+                assert_eq!(fallback.stats.target_row, 0, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "target row does not match the graph")]
+    fn target_row_for_another_graph_is_rejected() {
+        let (g, _) = paper_graph();
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, 1).unwrap();
+        let small = b.build();
+        let row = Arc::new(TargetRow::build(&small, &[1]));
+        QueryEngine::new(&g).set_target_row(Some(row));
     }
 
     #[test]

@@ -63,6 +63,11 @@ pub struct QueryStats {
     /// Subspaces whose best sidetrack suffix collided with the prefix,
     /// forcing a τ-bounded constrained repair search.
     pub sidetrack_repairs: usize,
+    /// 1 when the query read `lb(v, V_T)` from an exact target-distance
+    /// row instead of the landmark Eq. (2) bound (see
+    /// [`TargetsLb::Exact`](crate::TargetsLb::Exact)); summed over a
+    /// stream, the number of queries answered with a row.
+    pub target_row: usize,
 }
 
 impl QueryStats {
@@ -70,7 +75,7 @@ impl QueryStats {
     /// [`field_values`](QueryStats::field_values). Shared by the NDJSON
     /// `stats` block, the `metrics` verb, and the Prometheus counter
     /// series so the three surfaces cannot drift.
-    pub const FIELD_NAMES: [&'static str; 18] = [
+    pub const FIELD_NAMES: [&'static str; 19] = [
         "sp",
         "lb",
         "testlb",
@@ -89,10 +94,11 @@ impl QueryStats {
         "sidetracks_scanned",
         "sidetrack_splices",
         "sidetrack_repairs",
+        "target_row",
     ];
 
     /// Every counter, in [`FIELD_NAMES`](QueryStats::FIELD_NAMES) order.
-    pub fn field_values(&self) -> [u64; 18] {
+    pub fn field_values(&self) -> [u64; 19] {
         [
             self.shortest_path_computations as u64,
             self.lower_bound_computations as u64,
@@ -112,6 +118,7 @@ impl QueryStats {
             self.sidetracks_scanned as u64,
             self.sidetrack_splices as u64,
             self.sidetrack_repairs as u64,
+            self.target_row as u64,
         ]
     }
 
@@ -153,6 +160,7 @@ impl QueryStats {
         self.sidetracks_scanned += other.sidetracks_scanned;
         self.sidetrack_splices += other.sidetrack_splices;
         self.sidetrack_repairs += other.sidetrack_repairs;
+        self.target_row += other.target_row;
     }
 }
 
@@ -211,6 +219,7 @@ mod tests {
             sidetracks_scanned: 16,
             sidetrack_splices: 17,
             sidetrack_repairs: 18,
+            target_row: 19,
         };
         let mut out = String::new();
         s.write_json(&mut out);
@@ -220,7 +229,7 @@ mod tests {
              \"relaxed\":6,\"spt_nodes\":7,\"subspaces\":8,\"heap_pops\":9,\
              \"lb_prunes\":10,\"subspaces_skipped\":11,\"tau_updates\":12,\"tau\":13,\
              \"rounds_parallel\":14,\"candidates_stolen\":15,\"sidetracks_scanned\":16,\
-             \"sidetrack_splices\":17,\"sidetrack_repairs\":18}"
+             \"sidetrack_splices\":17,\"sidetrack_repairs\":18,\"target_row\":19}"
         );
         // Names and values stay parallel.
         assert_eq!(QueryStats::FIELD_NAMES.len(), s.field_values().len());

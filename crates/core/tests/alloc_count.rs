@@ -1,6 +1,8 @@
-//! Zero-allocation steady state: after one warm-up pass, a landmark-less
-//! [`QueryEngine`] answers repeat KPJ queries through `query_multi_into`
-//! without a single heap allocation, for every algorithm — *with the
+//! Zero-allocation steady state: after one warm-up pass, a
+//! [`QueryEngine`] — without landmarks, with landmarks, and with landmarks
+//! plus an exact target row — answers repeat KPJ queries through
+//! `query_multi_into` without a single heap allocation, for every
+//! algorithm — *with the
 //! structured tracer recording spans*. The `trace` feature is on by
 //! default, so this test doubles as proof that span recording stays off
 //! the heap; the trace-gated assertions below verify spans were actually
@@ -15,10 +17,6 @@
 //!
 //! (`--test-threads=1` because the allocator counts process-wide: a
 //! sibling test thread mid-window would register as a false positive.)
-//!
-//! Landmark-backed engines are excluded by design: the per-query landmark
-//! bound tables (`LandmarkIndex::for_targets`, multi-source `SourceLb`)
-//! still allocate — documented in DESIGN.md §9.
 #![cfg(feature = "count-alloc")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,6 +25,7 @@ use std::sync::Mutex;
 
 use kpj_core::{Algorithm, Deadline, QueryEngine};
 use kpj_graph::{Graph, GraphBuilder, NodeId, PathSet, WeightUpdate};
+use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
 
 struct CountingAlloc;
 
@@ -109,6 +108,17 @@ fn lattice(n: u32, cols: u32) -> kpj_graph::Graph {
     b.build()
 }
 
+/// The bound configurations every warmed engine is gated in.
+#[derive(Debug, Clone, Copy)]
+enum Bounds {
+    /// `-NL`: no landmarks, zero bounds.
+    None,
+    /// Landmark Eq. (2) bounds (per-query tables pooled on the engine).
+    Landmarks,
+    /// Landmarks plus an exact target row for the query's target set.
+    LandmarksAndRow,
+}
+
 #[test]
 fn warmed_engine_answers_queries_without_allocating() {
     let _serial = serial();
@@ -116,29 +126,56 @@ fn warmed_engine_answers_queries_without_allocating() {
     let sources: Vec<NodeId> = vec![0, 1];
     let targets: Vec<NodeId> = vec![395, 397, 399];
     let k = 12;
+    let landmarks = LandmarkIndex::build(&g, 4, SelectionStrategy::Farthest, 7);
+    let row = std::sync::Arc::new(TargetRow::build(&g, &targets));
 
-    let mut engine = QueryEngine::new(&g);
+    for bounds in [Bounds::None, Bounds::Landmarks, Bounds::LandmarksAndRow] {
+        let mut engine = QueryEngine::new(&g);
+        if !matches!(bounds, Bounds::None) {
+            engine = engine.with_landmarks(&landmarks);
+        }
+        if matches!(bounds, Bounds::LandmarksAndRow) {
+            engine = engine.with_target_row(std::sync::Arc::clone(&row));
+        }
+        warmed_queries_do_not_allocate(&mut engine, bounds, &sources, &targets, k);
+    }
+}
+
+fn warmed_queries_do_not_allocate(
+    engine: &mut QueryEngine<'_>,
+    bounds: Bounds,
+    sources: &[NodeId],
+    targets: &[NodeId],
+    k: usize,
+) {
     let mut out = PathSet::new();
-
     for alg in Algorithm::ALL {
         // Warm-up: grows every pooled buffer (arena, pseudo-tree pools,
         // heaps, timestamp maps, PathSet flat buffers) to steady state.
-        engine
-            .query_multi_into(alg, &sources, &targets, k, Deadline::none(), &mut out)
+        let stats = engine
+            .query_multi_into(alg, sources, targets, k, Deadline::none(), &mut out)
             .unwrap();
         assert_eq!(out.len(), k, "{}: warm-up under-filled", alg.name());
+        // The row configuration really reads the row.
+        let rowed = matches!(bounds, Bounds::LandmarksAndRow) && alg.reads_target_bounds();
+        assert_eq!(
+            stats.target_row,
+            usize::from(rowed),
+            "{} {bounds:?}",
+            alg.name()
+        );
         let warm = out.lengths();
 
         // Steady state: repeat queries, zero allocations.
         let delta = min_alloc_delta(|| {
             engine
-                .query_multi_into(alg, &sources, &targets, k, Deadline::none(), &mut out)
+                .query_multi_into(alg, sources, targets, k, Deadline::none(), &mut out)
                 .unwrap();
         });
         assert_eq!(
             delta,
             0,
-            "{}: {delta} heap allocations in a warmed-up query",
+            "{} {bounds:?}: {delta} heap allocations in a warmed-up query",
             alg.name()
         );
         assert_eq!(out.lengths(), warm, "{}: answer drifted", alg.name());

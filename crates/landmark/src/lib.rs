@@ -18,13 +18,20 @@
 //! The index is built offline ([`LandmarkIndex::build`]) in
 //! `O(|L|·(m + n log n))` with `O(|L|·n)` space, exactly as stated in the
 //! paper's "Remarks & Time Complexity".
+//!
+//! Beside the landmark tables the crate keeps the other kind of distance
+//! row a server amortizes over a query stream: a [`TargetRow`], the exact
+//! `d(v, V_T)` for one recurring target set. Both kinds are repaired
+//! after a weight-update batch by the same code (the `repair` module).
 
 #![warn(missing_docs)]
 
 mod persist;
 mod repair;
+mod target_row;
 
 pub use repair::RepairStats;
+pub use target_row::TargetRow;
 
 pub use persist::PersistError;
 
@@ -361,16 +368,27 @@ impl LandmarkIndex {
     /// `δ(w, t) = min_{v ∈ V_T} δ(w, v)` for every landmark in
     /// `O(|L| · |V_T|)` (the paper's initialization phase).
     pub fn for_targets(&self, targets: &[NodeId]) -> QueryBounds<'_> {
-        let dist_to_t = (0..self.landmarks.len())
-            .map(|l| {
-                let row = self.row(l);
-                targets
-                    .iter()
-                    .map(|&v| row[v as usize])
-                    .min()
-                    .unwrap_or(INFINITE_LENGTH)
-            })
-            .collect();
+        self.for_targets_reusing(targets, Vec::new())
+    }
+
+    /// [`for_targets`](LandmarkIndex::for_targets) into a caller-pooled
+    /// buffer (cleared first; get it back with
+    /// [`QueryBounds::into_buffer`]), so a warmed engine builds its
+    /// per-query bounds without allocating.
+    pub fn for_targets_reusing(
+        &self,
+        targets: &[NodeId],
+        mut dist_to_t: Vec<Length>,
+    ) -> QueryBounds<'_> {
+        dist_to_t.clear();
+        dist_to_t.extend((0..self.landmarks.len()).map(|l| {
+            let row = self.row(l);
+            targets
+                .iter()
+                .map(|&v| row[v as usize])
+                .min()
+                .unwrap_or(INFINITE_LENGTH)
+        }));
         QueryBounds {
             index: self,
             dist_to_t,
@@ -439,6 +457,12 @@ impl QueryBounds<'_> {
     /// The underlying offline index.
     pub fn index(&self) -> &LandmarkIndex {
         self.index
+    }
+
+    /// Give back the per-landmark buffer for the next
+    /// [`LandmarkIndex::for_targets_reusing`].
+    pub fn into_buffer(self) -> Vec<Length> {
+        self.dist_to_t
     }
 }
 

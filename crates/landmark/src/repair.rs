@@ -35,6 +35,16 @@
 //!    plain Dijkstra with warm-started bounds and reproduces exactly the
 //!    distance field a from-scratch run would compute.
 //!
+//! ## Either direction, any seed set
+//!
+//! The same three phases repair a [`TargetRow`] — the exact distances
+//! `d(v, V_T)` *to* a target set. That row is a backward search seeded
+//! with every target at 0, so the repair walks in-edges where a landmark
+//! row walks out-edges, reads each changed edge head-first, and treats
+//! every seed (not just one landmark) as never affected. One
+//! implementation serves both, so both stay bit-identical to their
+//! rebuilds ([`TargetRow::rebuilt`], [`LandmarkIndex::rebuilt`]).
+//!
 //! Cost is proportional to the perturbed region plus its frontier, not to
 //! the graph: the sustained-update experiments in `EXPERIMENTS.md` show
 //! the repair/rebuild gap this buys on road-like graphs.
@@ -49,9 +59,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use kpj_graph::{EdgeDelta, Graph, Length, NodeId, INFINITE_LENGTH};
-use kpj_sp::DenseDijkstra;
+use kpj_sp::{DenseDijkstra, Direction};
 
-use crate::LandmarkIndex;
+use crate::{LandmarkIndex, TargetRow};
 
 /// Work counters from one [`LandmarkIndex::repaired`] call, for metrics
 /// and the repair-vs-rebuild experiments.
@@ -98,14 +108,32 @@ fn old_weight(deltas: &[EdgeDelta], from: NodeId, to: NodeId, current: u32) -> u
     }
 }
 
-/// Repair one distance row in place. Every entry written — region resets
-/// and settles — is pushed to `written` as a flat table index
-/// (`base + v`), so a later version can be brought up to date from this
-/// one by copying just those entries.
+/// The batch's real changes, sorted and deduplicated by `(from, to)` —
+/// the form [`repair_row`] expects.
+fn normalized_deltas(deltas: &[EdgeDelta]) -> Vec<EdgeDelta> {
+    let mut sorted: Vec<EdgeDelta> = deltas
+        .iter()
+        .copied()
+        .filter(|d| d.old_weight != d.new_weight)
+        .collect();
+    sorted.sort_unstable_by_key(|d| (d.from, d.to));
+    sorted.dedup_by_key(|d| (d.from, d.to));
+    sorted
+}
+
+/// Repair one distance row in place. The row holds shortest distances
+/// from the `seeds` (sorted; each at distance 0) along `direction`:
+/// forward from one landmark for landmark tables, backward from every
+/// target for a [`TargetRow`](crate::TargetRow). Every entry written —
+/// region resets and settles — is pushed to `written` as a flat table
+/// index (`base + v`), so a later version can be brought up to date from
+/// this one by copying just those entries.
+#[allow(clippy::too_many_arguments)]
 fn repair_row(
     g: &Graph,
     deltas: &[EdgeDelta],
-    source: NodeId,
+    direction: Direction,
+    seeds: &[NodeId],
     dist: &mut [Length],
     base: usize,
     s: &mut RowScratch,
@@ -114,23 +142,36 @@ fn repair_row(
     debug_assert!(deltas
         .windows(2)
         .all(|w| (w[0].from, w[0].to) < (w[1].from, w[1].to)));
+    debug_assert!(seeds.windows(2).all(|w| w[0] < w[1]));
+    // A delta's edge as the search walks it: (tail, head) in `direction`.
+    let ends = |d: &EdgeDelta| match direction {
+        Direction::Forward => (d.from, d.to),
+        Direction::Backward => (d.to, d.from),
+    };
+    // The pre-batch weight of the edge the search walks from `u` to `x`.
+    let walked_old_weight = |u: NodeId, x: NodeId, current: u32| match direction {
+        Direction::Forward => old_weight(deltas, u, x, current),
+        Direction::Backward => old_weight(deltas, x, u, current),
+    };
     // Phase 1: grow the affected region from increased tight edges.
     s.region.clear();
     s.stack.clear();
+    // Seeds sit at distance 0 by definition and are never affected.
     let mark = |v: NodeId, s: &mut RowScratch| {
-        if v != source && !s.in_region[v as usize] {
+        if !s.in_region[v as usize] && seeds.binary_search(&v).is_err() {
             s.in_region[v as usize] = true;
             s.region.push(v);
             s.stack.push(v);
         }
     };
     for d in deltas {
-        let du = dist[d.from as usize];
+        let (tail, head) = ends(d);
+        let dt = dist[tail as usize];
         if d.new_weight > d.old_weight
-            && du != INFINITE_LENGTH
-            && du + d.old_weight as Length == dist[d.to as usize]
+            && dt != INFINITE_LENGTH
+            && dt + d.old_weight as Length == dist[head as usize]
         {
-            mark(d.to, s);
+            mark(head, s);
         }
     }
     while let Some(u) = s.stack.pop() {
@@ -138,8 +179,8 @@ fn repair_row(
         if du == INFINITE_LENGTH {
             continue;
         }
-        for e in g.out_edges(u) {
-            let w_old = old_weight(deltas, u, e.to, e.weight);
+        for e in direction.edges(g, u) {
+            let w_old = walked_old_weight(u, e.to, e.weight);
             if du + w_old as Length == dist[e.to as usize] {
                 mark(e.to, s);
             }
@@ -154,8 +195,10 @@ fn repair_row(
     }
     for &v in &s.region {
         let mut best = INFINITE_LENGTH;
-        for e in g.in_edges(v) {
-            let u = e.to; // reverse view: `to` holds the tail
+        // Edges reaching `v` in the search direction: `e.to` is the node
+        // the search would come from.
+        for e in direction.reversed().edges(g, v) {
+            let u = e.to;
             if s.in_region[u as usize] {
                 continue;
             }
@@ -169,12 +212,13 @@ fn repair_row(
         }
     }
     for d in deltas {
-        if d.new_weight < d.old_weight && !s.in_region[d.from as usize] {
-            let du = dist[d.from as usize];
-            if du != INFINITE_LENGTH {
-                let cand = du + d.new_weight as Length;
-                if cand < dist[d.to as usize] {
-                    s.heap.push(Reverse((cand, d.to)));
+        let (tail, head) = ends(d);
+        if d.new_weight < d.old_weight && !s.in_region[tail as usize] {
+            let dt = dist[tail as usize];
+            if dt != INFINITE_LENGTH {
+                let cand = dt + d.new_weight as Length;
+                if cand < dist[head as usize] {
+                    s.heap.push(Reverse((cand, head)));
                 }
             }
         }
@@ -188,7 +232,7 @@ fn repair_row(
         dist[v as usize] = d;
         written.push(base + v as usize);
         settled += 1;
-        for e in g.out_edges(v) {
+        for e in direction.edges(g, v) {
             let cand = d + e.weight as Length;
             if cand < dist[e.to as usize] {
                 s.heap.push(Reverse((cand, e.to)));
@@ -237,13 +281,7 @@ impl LandmarkIndex {
             updated.node_count(),
             "weight updates never change topology"
         );
-        let mut sorted: Vec<EdgeDelta> = deltas
-            .iter()
-            .copied()
-            .filter(|d| d.old_weight != d.new_weight)
-            .collect();
-        sorted.sort_unstable_by_key(|d| (d.from, d.to));
-        sorted.dedup_by_key(|d| (d.from, d.to));
+        let sorted = normalized_deltas(deltas);
         let mut stats = RepairStats {
             rows: self.landmarks().len(),
             ..RepairStats::default()
@@ -275,8 +313,16 @@ impl LandmarkIndex {
             let mut scratch = RowScratch::new(n);
             for (l, &source) in self.landmarks().iter().enumerate() {
                 let row = &mut tables[l * n..(l + 1) * n];
-                let (affected, settled) =
-                    repair_row(updated, &sorted, source, row, l * n, &mut scratch, journal);
+                let (affected, settled) = repair_row(
+                    updated,
+                    &sorted,
+                    Direction::Forward,
+                    std::slice::from_ref(&source),
+                    row,
+                    l * n,
+                    &mut scratch,
+                    journal,
+                );
                 stats.affected_nodes += affected;
                 stats.settled_nodes += settled;
             }
@@ -295,6 +341,73 @@ impl LandmarkIndex {
             tables.extend(DenseDijkstra::from_source(g, l).into_dist());
         }
         LandmarkIndex::from_parts(self.landmarks().to_vec(), tables, n)
+    }
+}
+
+impl TargetRow {
+    /// Repair the row against `updated` (the post-batch graph) given the
+    /// batch's [`EdgeDelta`]s. The result is **bit-identical** to
+    /// [`TargetRow::rebuilt`] on the same graph.
+    pub fn repaired(&self, updated: &Graph, deltas: &[EdgeDelta]) -> (TargetRow, RepairStats) {
+        self.repaired_reusing(updated, deltas, None, &mut Vec::new())
+    }
+
+    /// [`repaired`](TargetRow::repaired) that repairs into `spare`, a
+    /// retired earlier version of this row, instead of a fresh copy —
+    /// the same journal contract as
+    /// [`LandmarkIndex::repaired_reusing`]: on entry `journal` lists the
+    /// entries where `spare` may differ from `self`, on return the
+    /// entries this repair wrote. A spare for another target set or node
+    /// count is ignored (the row is copied).
+    pub fn repaired_reusing(
+        &self,
+        updated: &Graph,
+        deltas: &[EdgeDelta],
+        spare: Option<TargetRow>,
+        journal: &mut Vec<usize>,
+    ) -> (TargetRow, RepairStats) {
+        let n = self.node_count();
+        assert_eq!(
+            n,
+            updated.node_count(),
+            "weight updates never change topology"
+        );
+        let sorted = normalized_deltas(deltas);
+        let mut stats = RepairStats {
+            rows: 1,
+            ..RepairStats::default()
+        };
+        let spare = spare.filter(|old| old.dist.len() == n && old.targets == self.targets);
+        let mut next = match spare {
+            Some(mut old) => {
+                for &i in journal.iter() {
+                    old.dist[i] = self.dist[i];
+                }
+                debug_assert!(
+                    old == *self,
+                    "patched spare differs from the current target row"
+                );
+                old
+            }
+            None => self.clone(),
+        };
+        journal.clear();
+        if !sorted.is_empty() {
+            let mut scratch = RowScratch::new(n);
+            let (affected, settled) = repair_row(
+                updated,
+                &sorted,
+                Direction::Backward,
+                &next.targets,
+                &mut next.dist,
+                0,
+                &mut scratch,
+                journal,
+            );
+            stats.affected_nodes = affected;
+            stats.settled_nodes = settled;
+        }
+        (next, stats)
     }
 }
 
@@ -503,5 +616,154 @@ mod tests {
             .unwrap();
         let (repaired, _) = idx.repaired(&g2, &deltas);
         assert_eq!(repaired.tables(), idx.rebuilt(&g2).tables());
+    }
+
+    /// Repair `row` through `batch` both ways — into a fresh copy and
+    /// into the retired `spare` patched through `journal` — and demand
+    /// both equal a rebuild. Returns the updated graph and row, and
+    /// leaves `spare`/`journal` ready for the next call.
+    fn step_target_row(
+        g: &Graph,
+        row: &TargetRow,
+        batch: &[WeightUpdate],
+        spare: &mut Option<TargetRow>,
+        journal: &mut Vec<usize>,
+        what: &str,
+    ) -> (Graph, TargetRow) {
+        let (g2, deltas) = g.with_updated_weights(batch).unwrap();
+        let rebuilt = row.rebuilt(&g2);
+        let (fresh, stats) = row.repaired(&g2, &deltas);
+        assert_eq!(
+            fresh, rebuilt,
+            "{what}: repaired copy diverges from rebuild"
+        );
+        assert_eq!(stats.rows, 1);
+        let (reused, _) = row.repaired_reusing(&g2, &deltas, spare.take(), journal);
+        assert_eq!(reused, rebuilt, "{what}: repair into spare diverges");
+        for (i, (a, b)) in reused.dist().iter().zip(row.dist()).enumerate() {
+            assert!(
+                a == b || journal.contains(&i),
+                "{what}: entry {i} changed unjournaled"
+            );
+        }
+        *spare = Some(row.clone());
+        (g2, reused)
+    }
+
+    #[test]
+    fn target_row_repair_is_bit_identical_to_rebuild_across_batches() {
+        let mut g = grid(9, 7, 0x7A6E);
+        let mut row = TargetRow::build(&g, &[62, 3, 40, 3, 17]);
+        assert_eq!(row.targets(), &[3, 17, 40, 62]);
+        let (mut spare, mut journal) = (None, Vec::new());
+        for round in 0..24u64 {
+            // random_batch mixes sharp increases, decreases and jitters.
+            let batch = random_batch(&g, 0x7A6E ^ round, 1 + round as usize % 7);
+            let (g2, next) = step_target_row(
+                &g,
+                &row,
+                &batch,
+                &mut spare,
+                &mut journal,
+                &format!("round {round}"),
+            );
+            g = g2;
+            row = next;
+        }
+    }
+
+    #[test]
+    fn target_row_survives_disconnect_and_reconnect() {
+        // 0 -> 1 -> 2 -> {3}, a detour 0 -> 4 -> 3, and node 5 that
+        // reaches no target at all (its entry stays infinite).
+        let mut b = GraphBuilder::new(6);
+        b.add_edge(0, 1, 1).unwrap();
+        b.add_edge(1, 2, 1).unwrap();
+        b.add_edge(2, 3, 1).unwrap();
+        b.add_edge(0, 4, 5).unwrap();
+        b.add_edge(4, 3, 5).unwrap();
+        b.add_edge(3, 5, 1).unwrap();
+        let g = b.build();
+        let row = TargetRow::build(&g, &[3]);
+        let (mut spare, mut journal) = (None, Vec::new());
+        let cut = |w| {
+            vec![
+                WeightUpdate {
+                    from: 1,
+                    to: 2,
+                    weight: w,
+                },
+                WeightUpdate {
+                    from: 4,
+                    to: 3,
+                    weight: w,
+                },
+            ]
+        };
+        // Cut both routes (as far as weights can), then restore them.
+        let (g2, row2) = step_target_row(&g, &row, &cut(u32::MAX), &mut spare, &mut journal, "cut");
+        assert!(row2.dist()[0] > u32::MAX as Length);
+        assert_eq!(row2.dist()[5], INFINITE_LENGTH);
+        let (_, row3) = step_target_row(&g2, &row2, &cut(1), &mut spare, &mut journal, "restore");
+        assert_eq!(row3.dist()[0], 3);
+    }
+
+    #[test]
+    fn target_row_with_zero_weights_repairs_exactly() {
+        // Zero-weight edges put non-target nodes at distance 0; they must
+        // be repaired like any other node while the targets stay fixed.
+        let mut b = GraphBuilder::new(6);
+        b.add_edge(0, 1, 0).unwrap();
+        b.add_edge(1, 2, 0).unwrap();
+        b.add_edge(2, 5, 3).unwrap();
+        b.add_edge(3, 4, 0).unwrap();
+        b.add_edge(0, 4, 7).unwrap();
+        b.add_edge(4, 5, 0).unwrap();
+        let g = b.build();
+        let row = TargetRow::build(&g, &[5, 4]);
+        let (mut spare, mut journal) = (None, Vec::new());
+        let mut state = (g, row);
+        for (i, batch) in [
+            vec![WeightUpdate {
+                from: 4,
+                to: 5,
+                weight: 6,
+            }],
+            vec![WeightUpdate {
+                from: 1,
+                to: 2,
+                weight: 9,
+            }],
+            vec![
+                WeightUpdate {
+                    from: 2,
+                    to: 5,
+                    weight: 0,
+                },
+                WeightUpdate {
+                    from: 1,
+                    to: 2,
+                    weight: 0,
+                },
+            ],
+            vec![WeightUpdate {
+                from: 3,
+                to: 4,
+                weight: 2,
+            }],
+        ]
+        .iter()
+        .enumerate()
+        {
+            state = step_target_row(
+                &state.0,
+                &state.1,
+                batch,
+                &mut spare,
+                &mut journal,
+                &format!("batch {i}"),
+            );
+        }
+        assert_eq!(state.1.dist()[0], 0);
     }
 }

@@ -3,6 +3,7 @@
 //! ```text
 //! kpj-fuzz [--seed N] [--rounds N] [--max-seconds S] [--out FILE]
 //! kpj-fuzz --interleave [--seed N] [--rounds N] [--max-seconds S]
+//! kpj-fuzz --rows [--seed N] [--rounds N] [--max-seconds S]
 //! kpj-fuzz --replay FILE
 //! ```
 //!
@@ -21,13 +22,21 @@
 //! shrinking to a replay file. The summary line counts the epochs written
 //! into the retired previous epoch's buffers (`reused`) and into a full
 //! copy (`copied`); a run of 20 or more cases that never reused exits
-//! non-zero, because the double buffer then went unchecked.
+//! non-zero, because the double buffer then went unchecked. It also counts
+//! the repaired target rows compared against a from-scratch row.
+//!
+//! `--rows` runs the target-row differential instead: per seed, every
+//! algorithm that reads target bounds answers with an exact target row
+//! and without, and must return the same lengths; a row for another set
+//! must change nothing; and a live service must build the row on the
+//! set's second sighting, read it afterwards, and repair it exactly.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use kpj_oracle::{
-    check_case, check_interleaving, format_case, parse_case, shrink_case, OracleCase, UpdatePaths,
+    check_case, check_interleaving, check_target_rows, format_case, parse_case, shrink_case,
+    OracleCase, UpdatePaths,
 };
 
 struct Args {
@@ -37,11 +46,12 @@ struct Args {
     out: Option<String>,
     replay: Option<String>,
     interleave: bool,
+    rows: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: kpj-fuzz [--seed N] [--rounds N] [--max-seconds S] [--out FILE]\n       kpj-fuzz --interleave [--seed N] [--rounds N] [--max-seconds S]\n       kpj-fuzz --replay FILE\n\nFUZZ_SECONDS overrides --max-seconds (default 30)."
+        "usage: kpj-fuzz [--seed N] [--rounds N] [--max-seconds S] [--out FILE]\n       kpj-fuzz --interleave [--seed N] [--rounds N] [--max-seconds S]\n       kpj-fuzz --rows [--seed N] [--rounds N] [--max-seconds S]\n       kpj-fuzz --replay FILE\n\nFUZZ_SECONDS overrides --max-seconds (default 30)."
     );
     std::process::exit(2);
 }
@@ -58,6 +68,7 @@ fn parse_args() -> Args {
         out: None,
         replay: None,
         interleave: false,
+        rows: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -83,6 +94,7 @@ fn parse_args() -> Args {
             "--out" => args.out = Some(value("--out")),
             "--replay" => args.replay = Some(value("--replay")),
             "--interleave" => args.interleave = true,
+            "--rows" => args.rows = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag `{other}`");
@@ -154,13 +166,43 @@ fn run_interleave(args: &Args) -> ExitCode {
         round += 1;
     }
     println!(
-        "kpj-fuzz: {round} interleaving cases from seed {:#x}, 0 violations; epoch buffers: reused={} copied={}",
-        args.seed, paths.reused, paths.copied
+        "kpj-fuzz: {round} interleaving cases from seed {:#x}, 0 violations; epoch buffers: reused={} copied={}; target rows repaired={}",
+        args.seed, paths.reused, paths.copied, paths.rows
     );
     if round >= MIN_ROUNDS_FOR_REUSE && paths.reused == 0 {
         eprintln!(
             "kpj-fuzz: no update reused the retired epoch's buffers: the reuse path went unchecked"
         );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// The `--rows` sweep: the target-row differential per seed.
+fn run_rows(args: &Args) -> ExitCode {
+    let deadline = Instant::now() + Duration::from_secs(args.max_seconds);
+    let (mut round, mut compared) = (0u64, 0u64);
+    loop {
+        if args.rounds.is_some_and(|rounds| round >= rounds) || Instant::now() >= deadline {
+            break;
+        }
+        let seed = args.seed.wrapping_add(round);
+        match check_target_rows(&OracleCase::generate(seed)) {
+            Ok(n) => compared += n,
+            Err(v) => {
+                eprintln!("seed {seed}: VIOLATION {v}");
+                eprintln!("re-run with: kpj-fuzz --rows --seed {seed} --rounds 1");
+                return ExitCode::FAILURE;
+            }
+        }
+        round += 1;
+    }
+    println!(
+        "kpj-fuzz: {round} target-row cases from seed {:#x}, 0 violations; rowed answers compared={compared}",
+        args.seed
+    );
+    if round > 0 && compared == 0 {
+        eprintln!("kpj-fuzz: no answer was computed with a target row");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -173,6 +215,9 @@ fn main() -> ExitCode {
     }
     if args.interleave {
         return run_interleave(&args);
+    }
+    if args.rows {
+        return run_rows(&args);
     }
 
     let deadline = Instant::now() + Duration::from_secs(args.max_seconds);

@@ -17,7 +17,13 @@
 //!    built from scratch on the updated graph;
 //! 4. the epoch-scoped cache must serve the *new* answer after the swap
 //!    (and hit on the repeat), never a stale pre-update entry;
-//! 5. a **reduced mirror** of the same service (degree-2 chains
+//! 5. every exact target row the new epoch serves (built on a target
+//!    set's second sighting, then repaired with every batch) must be
+//!    **bit-identical** to a from-scratch `DenseDijkstra::to_targets`
+//!    row; wherever a live answer read a row, the fresh reference engine
+//!    gets the from-scratch row too — a row steers which of several
+//!    equal-length paths is returned, and the check stays bit-exact;
+//! 6. a **reduced mirror** of the same service (degree-2 chains
 //!    contracted, unreachable nodes pruned, `kpj_graph::reduce`) receives
 //!    every batch in original ids — the service translates updates onto
 //!    shortcut edges, re-publishing expansion prefix sums for
@@ -32,10 +38,11 @@
 
 use std::sync::Arc;
 
-use kpj_core::{Algorithm, QueryEngine};
+use kpj_core::{Algorithm, KpjResult, QueryEngine};
 use kpj_graph::{Graph, GraphBuilder, Weight, WeightUpdate};
-use kpj_landmark::{LandmarkIndex, SelectionStrategy};
-use kpj_service::{KpjService, PoolConfig, QueryRequest, ServiceConfig};
+use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
+use kpj_service::{GraphEpoch, KpjService, PoolConfig, QueryRequest, ServiceConfig};
+use kpj_sp::DenseDijkstra;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,12 +64,15 @@ pub struct UpdatePaths {
     pub reused: u64,
     /// Epochs written into a full copy of the current one.
     pub copied: u64,
+    /// Repaired target rows compared against a from-scratch row.
+    pub rows: u64,
 }
 
 impl std::ops::AddAssign for UpdatePaths {
     fn add_assign(&mut self, other: UpdatePaths) {
         self.reused += other.reused;
         self.copied += other.copied;
+        self.rows += other.rows;
     }
 }
 
@@ -184,6 +194,7 @@ pub fn check_interleaving(seed: u64) -> Result<UpdatePaths, Violation> {
                 tag("repaired landmark tables != full rebuild"),
             ));
         }
+        paths.rows += check_rows(&epoch, &fresh, &tag)?;
 
         check_round(&service, &case, &fresh, &rebuilt, &tag)?;
 
@@ -208,6 +219,9 @@ pub fn check_interleaving(seed: u64) -> Result<UpdatePaths, Violation> {
                 ))
             }
         }
+        let red_epoch = red_service.current_epoch();
+        paths.rows += check_rows(&red_epoch, red_epoch.graph(), &tag)?;
+        drop(red_epoch);
         check_reduced_round(&red_service, &case, &fresh, &tag)?;
         // Release the pins from two batches back, keep this round's.
         held = pins;
@@ -223,7 +237,51 @@ fn buffer_paths(service: &KpjService) -> UpdatePaths {
     UpdatePaths {
         reused: snapshot.buffers_reused,
         copied: snapshot.buffers_copied,
+        rows: 0,
     }
+}
+
+/// Every target row `epoch` serves must be bit-identical to a
+/// from-scratch backward Dijkstra from its target set on `graph` (the
+/// graph the epoch must equal). Returns how many rows were compared.
+fn check_rows(
+    epoch: &GraphEpoch,
+    graph: &Graph,
+    tag: &dyn Fn(&str) -> String,
+) -> Result<u64, Violation> {
+    let rows = epoch.rows().rows();
+    for row in &rows {
+        let rebuilt = DenseDijkstra::to_targets(graph, row.targets());
+        if row.dist() != rebuilt.dist_slice() {
+            return Err(violation(
+                "row-repair-vs-rebuild",
+                tag(&format!(
+                    "repaired target row for {:?} != from-scratch row",
+                    row.targets()
+                )),
+            ));
+        }
+    }
+    Ok(rows.len() as u64)
+}
+
+/// The reference engine for one live answer: a fresh engine on `fresh`,
+/// given the from-scratch target row exactly when the live answer read
+/// a row (`stats.target_row`).
+fn reference_engine<'g>(
+    fresh: &'g Graph,
+    landmarks: Option<&'g LandmarkIndex>,
+    case: &OracleCase,
+    live: &KpjResult,
+) -> QueryEngine<'g> {
+    let mut engine = QueryEngine::new(fresh);
+    if let Some(idx) = landmarks {
+        engine = engine.with_landmarks(idx);
+    }
+    if live.stats.target_row > 0 {
+        engine = engine.with_target_row(Arc::new(TargetRow::build(fresh, &case.targets)));
+    }
+    engine
 }
 
 /// Build the reduced mirror service for the current model graph:
@@ -255,16 +313,16 @@ fn check_reduced_round(
     fresh: &Graph,
     tag: &dyn Fn(&str) -> String,
 ) -> Result<(), Violation> {
-    let mut reference = QueryEngine::new(fresh);
     for alg in Algorithm::ALL {
         let label = format!("{} (reduced mirror)", alg.name());
-        let want = reference
-            .query_multi(alg, &case.sources, &case.targets, case.k)
-            .map_err(|e| violation("fresh-error", tag(&format!("{label}: {e:?}"))))?;
-        let got = run_live(service, case, alg).map_err(|v| Violation {
+        let live = run_live(service, case, alg).map_err(|v| Violation {
             invariant: v.invariant,
             detail: tag(&v.detail),
         })?;
+        let want = reference_engine(fresh, None, case, &live)
+            .query_multi(alg, &case.sources, &case.targets, case.k)
+            .map_err(|e| violation("fresh-error", tag(&format!("{label}: {e:?}"))))?;
+        let got = live.paths;
         if got.lengths() != want.paths.lengths() {
             return Err(violation(
                 "reduce-update-agreement",
@@ -311,7 +369,7 @@ fn run_live(
     service: &KpjService,
     case: &OracleCase,
     alg: Algorithm,
-) -> Result<kpj_graph::PathSet, Violation> {
+) -> Result<KpjResult, Violation> {
     let request = QueryRequest {
         algorithm: alg,
         sources: case.sources.clone(),
@@ -321,13 +379,14 @@ fn run_live(
     };
     service
         .execute(&request)
-        .map(|answer| answer.paths.clone())
+        .map(|answer| answer.result().clone())
         .map_err(|e| violation("live-error", format!("{}: {e}", alg.name())))
 }
 
 /// Post-batch agreement: live answers (service stack with landmarks,
-/// plain engine on the live epoch without) must be bit-identical to a
-/// fresh engine on the reference graph, and the repeat must be a cache
+/// plain engine on the live epoch — with its repaired target row, if it
+/// serves one — without) must be bit-identical to a fresh engine on the
+/// reference graph given the same bounds, and the repeat must be a cache
 /// hit with the same answer.
 fn check_round(
     service: &KpjService,
@@ -338,16 +397,13 @@ fn check_round(
 ) -> Result<(), Violation> {
     let epoch = service.current_epoch();
     let live_graph: &Graph = epoch.graph();
+    let mut key = case.targets.clone();
+    key.sort_unstable();
+    key.dedup();
+    let live_row = epoch.rows().lookup(&key);
     for with_lm in [false, true] {
-        let mut reference = QueryEngine::new(fresh);
-        if with_lm {
-            reference = reference.with_landmarks(rebuilt);
-        }
         for alg in Algorithm::ALL {
             let label = format!("{} landmarks={with_lm}", alg.name());
-            let want = reference
-                .query_multi(alg, &case.sources, &case.targets, case.k)
-                .map_err(|e| violation("fresh-error", tag(&format!("{label}: {e:?}"))))?;
             let got = if with_lm {
                 // Landmark side goes through the whole serving stack —
                 // epoch pin, cache key, pool — twice, proving the second
@@ -367,7 +423,7 @@ fn check_round(
                         tag(&format!("{label}: repeat after swap was not a hit")),
                     ));
                 }
-                if second != first {
+                if second.paths != first.paths {
                     return Err(violation(
                         "cache-freshness",
                         tag(&format!("{label}: cache hit diverged from miss")),
@@ -376,12 +432,18 @@ fn check_round(
                 first
             } else {
                 // Landmark-free variant runs directly on the live epoch's
-                // graph (the service always serves with its landmarks).
-                QueryEngine::new(live_graph)
+                // graph (the service always serves with its landmarks),
+                // reading the epoch's repaired row when it holds one.
+                let mut engine = QueryEngine::new(live_graph);
+                engine.set_target_row(live_row.clone());
+                engine
                     .query_multi(alg, &case.sources, &case.targets, case.k)
                     .map_err(|e| violation("live-error", tag(&format!("{label}: {e:?}"))))?
-                    .paths
             };
+            let want = reference_engine(fresh, with_lm.then_some(rebuilt), case, &got)
+                .query_multi(alg, &case.sources, &case.targets, case.k)
+                .map_err(|e| violation("fresh-error", tag(&format!("{label}: {e:?}"))))?;
+            let got = got.paths;
             if got != want.paths {
                 return Err(violation(
                     "update-agreement",
@@ -410,8 +472,10 @@ mod tests {
                 Err(v) => panic!("seed {seed}: {v}"),
             }
         }
-        // Both buffer paths were checked, not just one.
+        // Both buffer paths were checked, not just one, and repaired
+        // target rows were compared.
         assert!(paths.reused > 0 && paths.copied > 0, "{paths:?}");
+        assert!(paths.rows > 0, "{paths:?}");
     }
 
     #[test]

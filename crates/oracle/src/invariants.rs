@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use kpj_core::{reference, Algorithm, QueryEngine};
 use kpj_graph::{Graph, Length};
-use kpj_landmark::{LandmarkIndex, SelectionStrategy};
+use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
 use kpj_service::json::Json;
 use kpj_service::wire::handle_line;
 use kpj_service::{KpjService, PoolConfig, ServiceConfig};
@@ -48,9 +48,10 @@ pub fn check_case(case: &OracleCase) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Differential stage: every algorithm × {landmarks, none} must return
-/// the same length vector with structurally sound paths. Returns the
-/// agreed lengths.
+/// Differential stage: every algorithm × {landmarks, none} — and every
+/// algorithm that reads target bounds once more with an exact target row
+/// for the query's set — must return the same length vector with
+/// structurally sound paths. Returns the agreed lengths.
 fn check_engines(case: &OracleCase, g: &Graph) -> Result<Vec<Length>, Violation> {
     let idx = LandmarkIndex::build(
         g,
@@ -58,17 +59,32 @@ fn check_engines(case: &OracleCase, g: &Graph) -> Result<Vec<Length>, Violation>
         SelectionStrategy::Farthest,
         case.seed,
     );
+    let row = target_row(case, g);
     let mut baseline: Option<Vec<Length>> = None;
-    for with_lm in [false, true] {
+    for (with_lm, with_row) in [(false, false), (true, false), (false, true), (true, true)] {
         let mut engine = QueryEngine::new(g);
         if with_lm {
             engine = engine.with_landmarks(&idx);
         }
+        match (with_row, &row) {
+            (false, _) => {}
+            (true, Some(row)) => engine = engine.with_target_row(Arc::clone(row)),
+            (true, None) => continue,
+        }
         for alg in Algorithm::ALL {
-            let tag = format!("{} landmarks={with_lm}", alg.name());
+            if with_row && !alg.reads_target_bounds() {
+                continue;
+            }
+            let tag = format!("{} landmarks={with_lm} row={with_row}", alg.name());
             let r = engine
                 .query_multi(alg, &case.sources, &case.targets, case.k)
                 .map_err(|e| violation("engine-error", format!("{tag}: {e:?}")))?;
+            if with_row && case.k > 0 && r.stats.target_row != 1 {
+                return Err(violation(
+                    "row-unread",
+                    format!("{tag}: the matching target row was not read"),
+                ));
+            }
             if r.paths.len() > case.k {
                 return Err(violation(
                     "path-count",
@@ -121,6 +137,14 @@ fn check_engines(case: &OracleCase, g: &Graph) -> Result<Vec<Length>, Violation>
         }
     }
     Ok(baseline.expect("at least one algorithm ran"))
+}
+
+/// The exact target row for the case's target set, when the set is a
+/// non-empty set of nodes of `g` (replayed or shrunk cases may be
+/// neither; the engine then rejects or short-circuits the query).
+pub(crate) fn target_row(case: &OracleCase, g: &Graph) -> Option<Arc<TargetRow>> {
+    let valid = case.targets.iter().all(|&t| (t as usize) < g.node_count());
+    (valid && !case.targets.is_empty()).then(|| Arc::new(TargetRow::build(g, &case.targets)))
 }
 
 /// Parallel determinism stage: with `par_threads ∈ {2, 4}` every

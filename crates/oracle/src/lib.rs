@@ -10,13 +10,15 @@
 //! | [`generate`] | seeded random cases: road-like, social-like, chain-heavy (hub-and-corridor graphs that stress degree-2 contraction), and degenerate graphs (self-loops, parallel edges, disconnected components, near-`u32::MAX` weights) plus a query |
 //! | [`interleave`] | the live-update oracle: weight-update batches interleaved with queries; after every batch the live service (epoch swap + incremental landmark repair + epoch-scoped cache) must agree bit-for-bit with a freshly built engine — and a reduced mirror of the same service, fed the same batches, must agree after re-expansion |
 //! | [`invariants`] | the checker: all engine algorithms × {landmarks, none} must agree, small instances must match the brute-force reference, and the full `kpj-service` wire path (JSON → pool → cache → JSON) must agree with the engine |
+//! | [`rows`] | the target-row differential (`kpj-fuzz --rows`): exact `d(v, V_T)` rows on vs off for every algorithm that reads target bounds, a row for another set ignored, and the serving path's sighting → build → read → repair cycle |
 //! | [`shrink`] | greedy domain-specific minimization of a failing case (driven by `proptest::shrink::minimize`) |
 //! | [`replay`] | the deterministic `.kpjcase` text format the `kpj-fuzz` binary writes on failure and re-runs via `--replay` |
 //!
 //! Invariants checked per case:
 //!
 //! 1. identical sorted length multisets across all algorithms, with and
-//!    without landmarks;
+//!    without landmarks, and for the algorithms that read target bounds
+//!    also with an exact target row;
 //! 2. every returned path validates against the graph, is simple, starts
 //!    in the source set and ends in the target set (`V_T`), no duplicates,
 //!    lengths non-decreasing, at most `k` paths;
@@ -52,10 +54,12 @@ pub mod generate;
 pub mod interleave;
 pub mod invariants;
 pub mod replay;
+pub mod rows;
 pub mod shrink;
 
 pub use generate::{GraphCategory, OracleCase};
 pub use interleave::{check_interleaving, UpdatePaths};
 pub use invariants::{check_case, Violation};
 pub use replay::{format_case, parse_case};
+pub use rows::check_target_rows;
 pub use shrink::shrink_case;

@@ -6,6 +6,7 @@
 //! | Module | Provides |
 //! |---|---|
 //! | [`pool`] | [`EnginePool`]: N worker threads, each owning a private [`kpj_core::QueryEngine`], fed from a bounded queue with reject-on-full admission control |
+//! | [`rows`] | [`TargetRows`]: exact `d(v, V_T)` rows for recurring target sets, built on a set's second sighting, held per epoch within [`ROW_BUDGET`] and repaired with every update |
 //! | [`cache`] | [`ResultCache`]: sharded LRU over completed results with single-flight deduplication of concurrent identical queries |
 //! | [`service`] | [`KpjService`]: cache → pool → deadline → metrics composition, the one call-site the front-ends share |
 //! | [`metrics`] | [`Metrics`]: atomic counters, per-(algorithm, stage) latency histograms in a [`kpj_obs::StageRegistry`], per-algorithm engine [`kpj_core::QueryStats`] counters, the system-state [`kpj_obs::GaugeSet`] + structured [`kpj_obs::EventJournal`], Prometheus text exposition |
@@ -52,6 +53,7 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod pool;
+pub mod rows;
 pub mod server;
 pub mod service;
 pub mod wire;
@@ -66,6 +68,7 @@ pub use metrics::{
 pub use pool::{
     par_grant, resolve_workers, EnginePool, JobHandle, PoolConfig, PoolHooks, QueryRequest,
 };
+pub use rows::{Sightings, TargetRows, ROW_BUDGET};
 pub use server::serve;
 pub use service::{Answer, KpjService, ServiceConfig, UpdateOutcome};
 

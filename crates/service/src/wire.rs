@@ -359,6 +359,11 @@ fn status_response(service: &KpjService, id: Json) -> String {
         ("repair_mean_us".to_string(), Json::from(s.repair_mean_us)),
         ("repair_max_us".to_string(), Json::from(s.repair_max_us)),
     ]);
+    let rows = Json::Obj(vec![
+        ("held".to_string(), read(gauge::TARGET_ROWS)),
+        ("builds".to_string(), Json::from(s.target_row_builds)),
+        ("reads".to_string(), Json::from(s.target_row_reads)),
+    ]);
     let gauge_obj = Json::Obj(
         (0..gauges.len())
             .map(|i| {
@@ -411,6 +416,7 @@ fn status_response(service: &KpjService, id: Json) -> String {
                 ("throughput".to_string(), throughput),
                 ("latency_us".to_string(), latency),
                 ("updates".to_string(), updates),
+                ("target_rows".to_string(), rows),
                 ("gauges".to_string(), gauge_obj),
                 ("events".to_string(), events),
             ]),
