@@ -19,7 +19,7 @@ KPJ_PAR_THREADS=4 cargo test --workspace -q
 
 # --test-threads=1: the counting allocator is process-global, so libtest's
 # own worker threads would bleed allocations into a measured window.
-echo "==> zero-allocation steady state, tracing enabled, with and without landmarks and a target row (count-alloc feature)"
+echo "==> zero-allocation steady state, tracing enabled, with and without landmarks and a target row, and on a tie-heavy small world (count-alloc feature)"
 cargo test -q -p kpj-core --features count-alloc --test alloc_count -- --test-threads=1
 
 echo "==> trace feature compiles out cleanly (no-default-features)"
@@ -196,7 +196,7 @@ trap - EXIT
 # non-zero exit beyond BENCH_REGRESS_PCT percent (default 25). Warn-only
 # here: shared CI boxes jitter well past any honest threshold; run
 # `bench-kpj --compare BENCH_baseline.json` directly for the hard gate.
-echo "==> bench-kpj (writes BENCH_kpj.json, diffs vs BENCH_baseline.json)"
+echo "==> bench-kpj (writes BENCH_kpj.json incl. the dense_dijkstra kernel cells, diffs vs BENCH_baseline.json)"
 cargo run --release -q -p kpj-bench --bin bench-kpj -- \
   --queries "${BENCH_QUERIES:-6}" --out BENCH_kpj.json \
   --compare BENCH_baseline.json \

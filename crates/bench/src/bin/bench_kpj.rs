@@ -9,14 +9,19 @@
 //! `target_rows` section times `IterBoundI` and `IterBound` on the road
 //! workload with the landmark Eq. (2) bound and with an exact target row
 //! for the query's category (the row the service keeps for a recurring
-//! target set).
+//! target set). The `dense_dijkstra` section times the kernel under
+//! Sidetrack's and DA-SPT's reverse SPT, target rows and landmark tables:
+//! one full backward `DenseDijkstra` search, pooled, on the full-size CAL
+//! road graph and on an 8000-node small world.
 //!
 //! `--compare BASELINE.json` turns the trail into a gate: after the sweep
 //! the fresh report is diffed cell-by-cell (ms/query and allocs/query per
-//! workload × algorithm, plus every k-sweep cell) against the committed
+//! workload × algorithm, the target-row and kernel cells, plus every
+//! k-sweep cell) against the committed
 //! baseline, a delta table goes to stderr, and the process exits non-zero
 //! when any cell regressed by more than `BENCH_REGRESS_PCT` percent
-//! (default 25).
+//! (default 25). A cell the baseline lacks is reported as new and never
+//! fails the gate.
 //!
 //! Usage: `bench-kpj [--out PATH] [--queries N] [--compare BASELINE]`
 
@@ -31,6 +36,7 @@ use kpj_core::{Algorithm, QueryEngine};
 use kpj_graph::{Graph, NodeId};
 use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
 use kpj_service::json::Json;
+use kpj_sp::{DenseDijkstra, Direction};
 use kpj_workload::social::SocialConfig;
 
 /// Counts every allocation (and allocated byte) that reaches the system
@@ -229,6 +235,74 @@ fn target_row_axis(g: &Graph, lm: &LandmarkIndex, w: &Workload) -> (f64, Vec<Row
         })
         .collect();
     (build_ms, cells)
+}
+
+/// One cell of the dense-Dijkstra kernel axis.
+struct DenseCell {
+    name: &'static str,
+    dataset: String,
+    targets: usize,
+    /// Median µs per full backward search over [`RUNS`] passes.
+    us_per_search: f64,
+}
+
+/// Time one pooled full backward `DenseDijkstra` from `targets` (what
+/// Sidetrack and DA-SPT rebuild per query): median over [`RUNS`] passes
+/// of `reps` reruns each, after one warm-up run sizes the arrays.
+fn dense_cell(
+    name: &'static str,
+    dataset: String,
+    g: &Graph,
+    targets: &[NodeId],
+    reps: usize,
+) -> DenseCell {
+    let sources = || targets.iter().map(|&t| (t, 0));
+    let mut spt = DenseDijkstra::run(g, Direction::Backward, sources());
+    let mut times = [0.0; RUNS];
+    for t in &mut times {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            spt.rerun(g, Direction::Backward, sources());
+        }
+        *t = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
+    }
+    let us_per_search = median(&mut times);
+    eprintln!(
+        "  {name:>6}: {us_per_search:>10.1} us/search  ({dataset}, |V_T|={})",
+        targets.len()
+    );
+    DenseCell {
+        name,
+        dataset,
+        targets: targets.len(),
+        us_per_search,
+    }
+}
+
+/// The kernel axis: the full-size CAL road graph backward to Crater, and
+/// the 8000-node small world backward to 8 targets — the serving
+/// benchmark's graphs, with its category and social seeds (3 and 11).
+fn dense_dijkstra_axis() -> Vec<DenseCell> {
+    let cal = kpj_workload::datasets::CAL.generate(1.0);
+    let mut cats = kpj_graph::CategoryIndex::new();
+    let crater = kpj_workload::poi::generate_cal_categories(&mut cats, cal.node_count(), 3).crater;
+    let road = dense_cell(
+        "road",
+        format!("CAL n={}", cal.node_count()),
+        &cal,
+        cats.members(crater),
+        8,
+    );
+    let social_graph = SocialConfig::new(8_000, 11).generate();
+    let n = social_graph.node_count();
+    let social = dense_cell(
+        "social",
+        format!("WS@8000 n={n}"),
+        &social_graph,
+        &stride_sample(n, 8, 3),
+        100,
+    );
+    vec![road, social]
 }
 
 struct Workload {
@@ -494,9 +568,11 @@ fn json_escape_free(s: &str) -> &str {
 
 /// Flatten a report into `(cell key, value)` pairs for the regression
 /// diff: every `workloads.*.algorithms.*` cell contributes its ms/query
-/// and allocs/query, every k-sweep cell its ms/query. Higher is worse
-/// for all of them. Sections a (possibly older-schema) report lacks are
-/// simply absent — the diff treats those cells as new.
+/// and allocs/query, every target-row cell its two ms/query, every
+/// dense-Dijkstra kernel cell its µs/search, every k-sweep cell its
+/// ms/query. Higher is worse for all of them. Sections a (possibly
+/// older-schema) report lacks are simply absent — the diff treats those
+/// cells as new.
 fn flatten_cells(doc: &Json) -> Vec<(String, f64)> {
     let mut cells = Vec::new();
     if let Some(Json::Obj(workloads)) = doc.get("workloads") {
@@ -518,6 +594,13 @@ fn flatten_cells(doc: &Json) -> Vec<(String, f64)> {
                 if let Some(v) = cell.get(metric).and_then(Json::as_f64) {
                     cells.push((format!("target_rows/{aname}/{metric}"), v));
                 }
+            }
+        }
+    }
+    if let Some(Json::Obj(kernels)) = doc.get("dense_dijkstra") {
+        for (wname, cell) in kernels {
+            if let Some(v) = cell.get("us_per_search").and_then(Json::as_f64) {
+                cells.push((format!("dense_dijkstra/{wname}/us_per_search"), v));
             }
         }
     }
@@ -650,6 +733,10 @@ fn main() {
     eprintln!("==> target rows, road (rows off vs on, k={K})");
     let (row_build_ms, row_cells) = target_row_axis(&cal.graph, &cal.landmarks, &road);
 
+    // Kernel axis: the whole-graph reverse SPT under Sidetrack and DA-SPT.
+    eprintln!("==> dense_dijkstra kernel (full backward search, pooled)");
+    let dense_cells = dense_dijkstra_axis();
+
     // k-sweep axis: sidetrack vs the deviation family across k regimes.
     eprintln!("==> k sweep, road (k in {K_SWEEP:?})");
     let road_ksweep = k_sweep_axis(&cal.graph, &cal.landmarks, &road);
@@ -755,7 +842,21 @@ fn main() {
             c.allocs_per_query_on,
         );
     }
-    json.push_str("\n    }\n  },\n  \"k_sweep\": {\n");
+    json.push_str("\n    }\n  },\n  \"dense_dijkstra\": {\n");
+    for (i, c) in dense_cells.iter().enumerate() {
+        if i > 0 {
+            json.push_str(",\n");
+        }
+        let _ = write!(
+            json,
+            "    \"{}\": {{\"dataset\": \"{}\", \"targets\": {}, \"us_per_search\": {:.1}}}",
+            c.name,
+            json_escape_free(&c.dataset.replace(' ', "_")),
+            c.targets,
+            c.us_per_search,
+        );
+    }
+    json.push_str("\n  },\n  \"k_sweep\": {\n");
     for (wi, (name, cells)) in [("road", &road_ksweep), ("social", &social_ksweep)]
         .into_iter()
         .enumerate()
@@ -868,5 +969,40 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("bench-kpj: no regression beyond {pct:.0}% vs {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(dense_us: Option<f64>, ms: f64) -> Json {
+        let dense = dense_us.map_or(String::new(), |us| {
+            format!(r#", "dense_dijkstra": {{"social": {{"us_per_search": {us}}}}}"#)
+        });
+        let text = format!(
+            r#"{{"workloads": {{"road": {{"algorithms": {{"Sidetrack": {{"ms_per_query": {ms}, "allocs_per_query": 0.0}}}}}}}}{dense}}}"#
+        );
+        Json::parse(&text).unwrap()
+    }
+
+    #[test]
+    fn kernel_cells_are_flattened() {
+        let cells = flatten_cells(&report(Some(900.0), 1.0));
+        assert!(cells.contains(&("dense_dijkstra/social/us_per_search".to_string(), 900.0)));
+    }
+
+    #[test]
+    fn a_cell_absent_from_the_baseline_is_new_not_a_regression() {
+        let baseline = report(None, 1.0);
+        let current = report(Some(900.0), 1.0);
+        assert_eq!(compare_reports("base", &baseline, &current, 25.0), 0);
+    }
+
+    #[test]
+    fn a_slower_kernel_cell_regresses() {
+        let baseline = report(Some(900.0), 1.0);
+        let current = report(Some(2000.0), 1.0);
+        assert_eq!(compare_reports("base", &baseline, &current, 25.0), 1);
     }
 }

@@ -193,6 +193,45 @@ fn warmed_queries_do_not_allocate(
     }
 }
 
+/// The whole-graph reverse SPT behind Sidetrack and DA-SPT runs on a
+/// radix heap whose buckets are refilled by redistribution on almost
+/// every pop. On a small world with weights 1..=10, many nodes tie at
+/// equal distance and many have several tight next hops, so bucket
+/// redistribution and the SPT's tie rule both run hot. Once warm, those
+/// engines (and every other one) still answer without allocating.
+#[test]
+fn warmed_engines_on_tie_heavy_small_world_are_allocation_free() {
+    let _serial = serial();
+    let g = kpj_workload::social::SocialConfig::new(800, 0x71E5).generate();
+    let sources: Vec<NodeId> = vec![0, 1];
+    let targets: Vec<NodeId> = vec![400, 401, 402];
+    let k = 12;
+
+    // Not vacuous: the reverse SPT really has ties to break.
+    let spt = kpj_sp::DenseDijkstra::to_targets(&g, &targets);
+    let tied = g
+        .nodes()
+        .filter(|&v| {
+            let tight = g
+                .out_edges(v)
+                .iter()
+                .filter(|e| spt.dist(e.to) + e.weight as u64 == spt.dist(v))
+                .count();
+            tight >= 2
+        })
+        .count();
+    assert!(tied >= 20, "only {tied} nodes with tied next hops");
+
+    let landmarks = LandmarkIndex::build(&g, 4, SelectionStrategy::Farthest, 7);
+    for bounds in [Bounds::None, Bounds::Landmarks] {
+        let mut engine = QueryEngine::new(&g);
+        if matches!(bounds, Bounds::Landmarks) {
+            engine = engine.with_landmarks(&landmarks);
+        }
+        warmed_queries_do_not_allocate(&mut engine, bounds, &sources, &targets, k);
+    }
+}
+
 /// Move `engine` onto `g` and answer one query there.
 fn retarget_and_query<'g>(
     engine: QueryEngine<'g>,

@@ -1,27 +1,33 @@
 //! Priority queues for the `kpj` workspace.
 //!
-//! Two queues cover every algorithm in the paper:
+//! Three queues cover every algorithm in the paper:
 //!
 //! * [`IndexedKaryHeap`] — a k-ary min-heap over a *dense* key universe
 //!   `0..capacity` with `O(log n)` `decrease-key`. This is the queue inside
-//!   every Dijkstra/A\* search (`QV` in Alg. 5, `QT` in Alg. 6/7): each graph
-//!   node appears at most once, and label corrections decrease its key in
-//!   place, so no stale entries are ever popped. [`IndexedMinHeap`] is its
-//!   binary (`A = 2`) alias; the engine's hot search loop uses arity 4
-//!   (shallower sift-up for decrease-key-heavy workloads — see
-//!   `examples/heap_arity.rs` for the microbench).
+//!   every bounded Dijkstra/A\* search (`QV` in Alg. 5, `QT` in Alg. 6/7):
+//!   each graph node appears at most once, and label corrections decrease
+//!   its key in place, so no stale entries are ever popped.
+//!   [`IndexedMinHeap`] is its binary (`A = 2`) alias; the engine's hot
+//!   search loop uses arity 4 (shallower sift-up for decrease-key-heavy
+//!   workloads — see `examples/heap_arity.rs` for the microbench).
+//! * [`RadixHeap`] — a monotone radix heap over `u64` keys with lazy
+//!   deletion: the queue of the whole-graph `DenseDijkstra` (full SPTs,
+//!   target rows, landmark tables), whose keys never drop below the last
+//!   popped one.
 //! * [`MinHeap`] — a thin min-ordered convenience wrapper around
 //!   `std::collections::BinaryHeap` for queues whose entries are not dense
 //!   (the subspace queue `Q` of Alg. 2/Alg. 4, candidate sets, generators).
 //!
-//! Both are allocation-frugal: `IndexedKaryHeap` reuses its backing arrays
-//! across searches via [`IndexedKaryHeap::clear`], and `MinHeap` exposes
-//! `with_capacity`.
+//! All are allocation-frugal: `IndexedKaryHeap` and `RadixHeap` reuse
+//! their backing arrays across searches through `clear`, and `MinHeap`
+//! exposes `with_capacity`.
 
 #![warn(missing_docs)]
 
 mod indexed;
 mod min_heap;
+mod radix;
 
 pub use indexed::{IndexedKaryHeap, IndexedMinHeap};
 pub use min_heap::MinHeap;
+pub use radix::RadixHeap;

@@ -1,6 +1,9 @@
-//! Property-based model checks for both priority queues.
+//! Property-based model checks for the priority queues.
 
-use kpj_heap::{IndexedMinHeap, MinHeap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use kpj_heap::{IndexedMinHeap, MinHeap, RadixHeap};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -90,5 +93,64 @@ proptest! {
             prop_assert_eq!(k, top);
         }
         prop_assert!(q.is_empty());
+    }
+
+    /// RadixHeap against `std::collections::BinaryHeap` on random
+    /// monotone op streams. Push shapes: small steps over the floor (the
+    /// last popped key), wide jumps, keys near `u64::MAX` (saturated
+    /// path lengths), and zero-weight pushes exactly at the floor while
+    /// draining. Every pop returns the reference's minimum key, popped
+    /// keys never decrease between clears, the popped entries are the
+    /// pushed multiset, and `clear` keeps the bucket capacity.
+    #[test]
+    fn radix_heap_matches_binary_heap(ops in vec((0..6u8, 0..64u64, 0..4u8), 1..400)) {
+        let mut h: RadixHeap<u32> = RadixHeap::new();
+        let mut reference = BinaryHeap::new();
+        let mut floor = 0u64;
+        let mut pushed = Vec::new();
+        let mut popped = Vec::new();
+        for (i, (op, delta, shape)) in ops.into_iter().enumerate() {
+            match op {
+                0..=2 => {
+                    let key = match shape {
+                        0 => floor.saturating_add(delta),
+                        1 => floor.saturating_add(delta << 32),
+                        2 => floor.max(u64::MAX - delta),
+                        _ => floor,
+                    };
+                    h.push(key, i as u32);
+                    reference.push(Reverse(key));
+                    pushed.push((key, i as u32));
+                }
+                3 | 4 => match h.pop() {
+                    None => prop_assert!(reference.is_empty()),
+                    Some((key, item)) => {
+                        prop_assert_eq!(Some(Reverse(key)), reference.pop());
+                        prop_assert!(key >= floor);
+                        floor = key;
+                        popped.push((key, item));
+                    }
+                },
+                _ => {
+                    let cap = h.capacity();
+                    h.clear();
+                    reference.clear();
+                    prop_assert_eq!(h.capacity(), cap);
+                    floor = 0;
+                    pushed.clear();
+                    popped.clear();
+                }
+            }
+            prop_assert_eq!(h.len(), reference.len());
+            prop_assert_eq!(h.is_empty(), reference.is_empty());
+        }
+        while let Some((key, item)) = h.pop() {
+            prop_assert!(key >= floor);
+            floor = key;
+            popped.push((key, item));
+        }
+        pushed.sort_unstable();
+        popped.sort_unstable();
+        prop_assert_eq!(popped, pushed);
     }
 }

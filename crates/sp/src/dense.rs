@@ -1,7 +1,7 @@
 //! Whole-graph (multi-source) Dijkstra with dense output arrays.
 
 use kpj_graph::{Graph, Length, NodeId, INFINITE_LENGTH};
-use kpj_heap::IndexedMinHeap;
+use kpj_heap::RadixHeap;
 
 use crate::Direction;
 
@@ -15,20 +15,38 @@ pub const NO_PARENT: NodeId = NodeId::MAX;
 /// `dist[v] = δ(v, V_T) = min_{t ∈ V_T} δ(v, t)` — exactly the distance to
 /// the paper's virtual target node — and following `parent` pointers from
 /// `v` walks the shortest forward path from `v` towards its nearest target.
+///
+/// # Parent rule
+///
+/// Call `u` a *tight predecessor* of `v` if `dist[u] + w(u, v) = dist[v]`
+/// along an expanded arc. A reached node whose final distance came from a
+/// source's initial distance is a *root* and keeps [`NO_PARENT`]. Every
+/// other node `v` with a tight predecessor at a strictly smaller distance
+/// (a positive-weight tight arc) gets the tight predecessor with the
+/// smallest `(dist, id)`. Those parents follow from the distance row alone,
+/// whatever order the queue pops equal keys in.
+///
+/// The one exception is a node whose only tight predecessors sit at its
+/// own distance, behind zero-weight arcs. There the `(dist, id)` rule could
+/// close a cycle of zero-weight arcs, so such a node keeps the first tight
+/// predecessor settled, which depends on the queue's order among equal keys.
 #[derive(Debug, Clone)]
 pub struct DenseDijkstra {
     direction: Direction,
     dist: Vec<Length>,
     parent: Vec<NodeId>,
-    heap: IndexedMinHeap<Length>,
+    heap: RadixHeap<NodeId>,
 }
 
 impl DenseDijkstra {
     /// Run Dijkstra over the whole graph from `sources` (each with an
     /// initial distance, normally 0) expanding edges in `direction`.
     ///
-    /// Runs until the queue is exhausted: `O(m + n log n)`-ish with a binary
-    /// heap, `O(n)` memory. For bounded / early-terminating searches use
+    /// Runs until the queue is exhausted, with a monotone radix heap. Each
+    /// relaxation queues at most one entry, and an entry moves to a strictly
+    /// lower bucket each time it is redistributed, so the search costs
+    /// `O(m · log C)` for path lengths below `C` (at most `64 m` moves) and
+    /// `O(n + m)` memory. For bounded / early-terminating searches use
     /// [`Searcher`](crate::Searcher) instead.
     pub fn run(
         g: &Graph,
@@ -40,16 +58,16 @@ impl DenseDijkstra {
             direction,
             dist: vec![INFINITE_LENGTH; n],
             parent: vec![NO_PARENT; n],
-            heap: IndexedMinHeap::new(n),
+            heap: RadixHeap::new(),
         };
         this.search(g, sources);
         this
     }
 
     /// Re-run the search in place, reusing the distance/parent arrays and
-    /// the heap — no allocations when the graph size is unchanged. This is
-    /// what lets a pooled engine rebuild its per-query SPT without paying
-    /// three `O(n)` allocations per query.
+    /// the heap's buckets — no allocations once a run of the same query has
+    /// grown them. This is what lets a pooled engine rebuild its per-query
+    /// SPT without paying three `O(n)` allocations per query.
     pub fn rerun(
         &mut self,
         g: &Graph,
@@ -60,12 +78,11 @@ impl DenseDijkstra {
         if self.dist.len() != n {
             self.dist = vec![INFINITE_LENGTH; n];
             self.parent = vec![NO_PARENT; n];
-            self.heap = IndexedMinHeap::new(n);
         } else {
             self.dist.fill(INFINITE_LENGTH);
             self.parent.fill(NO_PARENT);
-            self.heap.clear();
         }
+        self.heap.clear();
         self.direction = direction;
         self.search(g, sources);
     }
@@ -74,19 +91,30 @@ impl DenseDijkstra {
         for (s, d0) in sources {
             if d0 < self.dist[s as usize] {
                 self.dist[s as usize] = d0;
-                self.heap.push_or_decrease(s as usize, d0);
+                self.heap.push(d0, s);
             }
         }
-        while let Some((u, du)) = self.heap.pop() {
-            // `IndexedMinHeap` never yields stale entries, so `du` is final.
-            debug_assert_eq!(du, self.dist[u]);
-            for e in self.direction.edges(g, u as NodeId) {
+        while let Some((du, u)) = self.heap.pop() {
+            // Lazy deletion: an entry whose key no longer matches the
+            // node's distance was superseded by a later, smaller push.
+            if du != self.dist[u as usize] {
+                continue;
+            }
+            for e in self.direction.edges(g, u) {
                 let nd = du.saturating_add(e.weight as Length);
                 let v = e.to as usize;
-                if nd < self.dist[v] {
+                let dv = self.dist[v];
+                if nd < dv {
                     self.dist[v] = nd;
-                    self.parent[v] = u as NodeId;
-                    self.heap.push_or_decrease(v, nd);
+                    self.parent[v] = u;
+                    self.heap.push(nd, e.to);
+                } else if nd == dv && du < dv {
+                    // Another positive-weight tight predecessor: keep the
+                    // (dist, id)-smallest. Roots keep NO_PARENT.
+                    let p = self.parent[v];
+                    if p != NO_PARENT && (du, u) < (self.dist[p as usize], p) {
+                        self.parent[v] = u;
+                    }
                 }
             }
         }
@@ -120,7 +148,8 @@ impl DenseDijkstra {
         self.dist[v as usize] != INFINITE_LENGTH
     }
 
-    /// The node `v` was settled from ([`NO_PARENT`] for roots/unreached).
+    /// The node `v` was settled from ([`NO_PARENT`] for roots/unreached),
+    /// chosen by the [parent rule](DenseDijkstra#parent-rule).
     ///
     /// For a backward search this is the *next hop* of the shortest forward
     /// path from `v` to the target set.

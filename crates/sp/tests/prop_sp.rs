@@ -3,8 +3,10 @@
 //! against Bellman–Ford), and the bounded-search contract (the substrate
 //! half of the paper's Lemma 5.1) is verified directly.
 
-use kpj_graph::{Graph, GraphBuilder, Length};
-use kpj_sp::{BidirectionalDijkstra, DenseDijkstra, Direction, Estimate, SearchOutcome, Searcher};
+use kpj_graph::{Graph, GraphBuilder, Length, NodeId, INFINITE_LENGTH};
+use kpj_sp::{
+    BidirectionalDijkstra, DenseDijkstra, Direction, Estimate, SearchOutcome, Searcher, NO_PARENT,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -185,6 +187,144 @@ proptest! {
             (SearchOutcome::Found { .. }, other) => prop_assert!(false, "A* lost the path: {:?}", other),
             (_, SearchOutcome::Found { .. }) => prop_assert!(false, "A* hallucinated a path"),
             _ => {}
+        }
+    }
+}
+
+/// Tie-heavy graphs: weights in `0..4`, so zero-weight arcs, zero-weight
+/// cycles and equal-length alternatives are common.
+fn tie_spec() -> impl Strategy<Value = Spec> {
+    (2..30u32).prop_flat_map(|n| {
+        vec((0..n, 0..n, 0..4u32), 1..120).prop_map(move |edges| Spec { n, edges })
+    })
+}
+
+/// Multi-source Bellman–Ford expanding `direction`'s arcs.
+fn bellman_ford(g: &Graph, direction: Direction, sources: &[(NodeId, Length)]) -> Vec<Length> {
+    let mut dist = vec![INFINITE_LENGTH; g.node_count()];
+    for &(s, d0) in sources {
+        dist[s as usize] = dist[s as usize].min(d0);
+    }
+    loop {
+        let mut changed = false;
+        for u in g.nodes() {
+            if dist[u as usize] == INFINITE_LENGTH {
+                continue;
+            }
+            for e in direction.edges(g, u) {
+                let nd = dist[u as usize] + e.weight as Length;
+                if nd < dist[e.to as usize] {
+                    dist[e.to as usize] = nd;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return dist;
+        }
+    }
+}
+
+/// What `DenseDijkstra`'s parent rule demands of one node, recomputed
+/// from the distance row alone.
+enum ParentRule {
+    /// Unreached, or a root: `NO_PARENT`.
+    None,
+    /// The `(dist, id)`-smallest tight predecessor at a smaller distance.
+    Exactly(NodeId),
+    /// Only zero-weight tight predecessors at the node's own distance: the
+    /// parent must be one of them.
+    ZeroWeightTight,
+}
+
+fn parent_rule(
+    g: &Graph,
+    direction: Direction,
+    dist: &[Length],
+    sources: &[(NodeId, Length)],
+    v: NodeId,
+) -> ParentRule {
+    let dv = dist[v as usize];
+    if dv == INFINITE_LENGTH || sources.iter().any(|&(s, d0)| s == v && d0 == dv) {
+        return ParentRule::None;
+    }
+    let mut best: Option<(Length, NodeId)> = None;
+    for u in g.nodes() {
+        let du = dist[u as usize];
+        let tight = du < dv
+            && direction
+                .edges(g, u)
+                .iter()
+                .any(|e| e.to == v && du + e.weight as Length == dv);
+        if tight {
+            best = Some(best.map_or((du, u), |b| b.min((du, u))));
+        }
+    }
+    best.map_or(ParentRule::ZeroWeightTight, |(_, u)| ParentRule::Exactly(u))
+}
+
+proptest! {
+    /// On tie-heavy graphs with zero weights, multi-source offsets and
+    /// both directions: distances equal Bellman–Ford, every parent obeys
+    /// the `(dist, id)` rule, every parent chain ends at a root after
+    /// exactly `dist` of arc weight, and a pooled `rerun` reproduces the
+    /// fresh tree.
+    #[test]
+    fn dense_parents_follow_the_tie_rule(
+        s in tie_spec(),
+        sources in vec((0..30u32, 0..3u64), 1..4),
+        backward in any::<bool>(),
+    ) {
+        let g = build(&s);
+        let direction = if backward { Direction::Backward } else { Direction::Forward };
+        let sources: Vec<(NodeId, Length)> =
+            sources.into_iter().map(|(v, d0)| (v % s.n, d0)).collect();
+        let d = DenseDijkstra::run(&g, direction, sources.iter().copied());
+        let dist = bellman_ford(&g, direction, &sources);
+        prop_assert_eq!(d.dist_slice(), dist.as_slice());
+        // A pooled rerun after another search gives exactly the fresh tree.
+        let mut pooled = DenseDijkstra::run(&g, direction.reversed(), [(0, 0)]);
+        pooled.rerun(&g, direction, sources.iter().copied());
+        prop_assert_eq!(pooled.dist_slice(), d.dist_slice());
+        for v in g.nodes() {
+            prop_assert_eq!(pooled.parent(v), d.parent(v));
+        }
+
+        for v in g.nodes() {
+            let p = d.parent(v);
+            match parent_rule(&g, direction, &dist, &sources, v) {
+                ParentRule::None => prop_assert_eq!(p, NO_PARENT),
+                ParentRule::Exactly(u) => prop_assert_eq!(p, u),
+                ParentRule::ZeroWeightTight => {
+                    prop_assert!(p != NO_PARENT, "node {} lost its parent", v);
+                    prop_assert_eq!(dist[p as usize], dist[v as usize]);
+                    prop_assert!(direction
+                        .edges(&g, p)
+                        .iter()
+                        .any(|e| e.to == v && e.weight == 0));
+                }
+            }
+            // The chain is acyclic and realises the distance.
+            if d.reached(v) {
+                let mut cur = v;
+                let mut len: Length = 0;
+                for _ in 0..=g.node_count() {
+                    let p = d.parent(cur);
+                    if p == NO_PARENT {
+                        break;
+                    }
+                    len += direction
+                        .edges(&g, p)
+                        .iter()
+                        .filter(|e| e.to == cur)
+                        .map(|e| e.weight as Length)
+                        .min()
+                        .unwrap();
+                    cur = p;
+                }
+                prop_assert_eq!(d.parent(cur), NO_PARENT, "parent cycle through {}", v);
+                prop_assert_eq!(len + dist[cur as usize], dist[v as usize]);
+            }
         }
     }
 }
