@@ -147,50 +147,6 @@ fn measure(
     }
 }
 
-/// One cell of the intra-query scaling axis.
-struct ParCell {
-    k: usize,
-    threads: usize,
-    ms_per_query: f64,
-    /// Sequential median / this cell's median (>1 = parallel wins).
-    speedup: f64,
-}
-
-/// The algorithm the threads axis sweeps: the deviation paradigm is
-/// where round batches get widest, so it bounds what intra-query
-/// parallelism can buy.
-const PAR_ALG: Algorithm = Algorithm::DaSptPascoal;
-
-/// Sweep threads × k for one workload. `threads = 1` runs the engine
-/// fully sequential (`par_threads = 0`) and anchors the speedup column.
-/// Answers are bit-identical across the axis (the engine's deterministic
-/// merge), so every cell does the same algorithmic work.
-fn par_axis(g: &Graph, lm: &LandmarkIndex, w: &Workload) -> Vec<ParCell> {
-    let mut cells = Vec::new();
-    for k in [20usize, 100] {
-        let mut base = 0.0;
-        for threads in [1usize, 2, 4, 8] {
-            let mut engine = QueryEngine::new(g).with_landmarks(lm);
-            engine.set_trace_sampling(0);
-            engine.set_par_threads(if threads >= 2 { threads } else { 0 });
-            run_batch(&mut engine, PAR_ALG, &w.sources, &w.targets, k);
-            let (ms, _) = median_ms(&mut engine, PAR_ALG, &w.sources, &w.targets, k);
-            if threads == 1 {
-                base = ms;
-            }
-            let speedup = if ms > 0.0 { base / ms } else { 0.0 };
-            eprintln!("  k={k:>3} threads={threads}: {ms:>9.3} ms/query  speedup {speedup:>5.2}x");
-            cells.push(ParCell {
-                k,
-                threads,
-                ms_per_query: ms,
-                speedup,
-            });
-        }
-    }
-    cells
-}
-
 /// One cell pair of the target-row axis: the same warmed queries with
 /// the landmark Eq. (2) bound and with an exact target row.
 struct RowCell {
@@ -784,14 +740,6 @@ fn main() {
         );
     }
 
-    // Intra-query scaling axis: threads × k on the deviation paradigm.
-    // On a single-core host this reads ~1.0x across the board (the
-    // fan-out still runs, serialized) — scaling shows up on multi-core.
-    eprintln!("==> par scaling, road ({})", PAR_ALG.name());
-    let road_par = par_axis(&cal.graph, &cal.landmarks, &road);
-    eprintln!("==> par scaling, social ({})", PAR_ALG.name());
-    let social_par = par_axis(&social_graph, &social_lm, &social);
-
     let mut json = String::new();
     json.push_str("{\n  \"schema\": 2,\n  \"k\": ");
     let _ = write!(json, "{K}");
@@ -873,32 +821,6 @@ fn main() {
                 json,
                 "      {{\"k\": {}, \"algorithm\": \"{}\", \"ms_per_query\": {:.4}}}",
                 c.k, c.name, c.ms_per_query,
-            );
-        }
-        json.push_str("\n    ]");
-    }
-    json.push_str("\n  },\n");
-    let _ = write!(
-        json,
-        "  \"par_scaling\": {{\n    \"algorithm\": \"{}\",\n    \"runs\": {RUNS},\n",
-        PAR_ALG.name()
-    );
-    for (wi, (name, cells)) in [("road", &road_par), ("social", &social_par)]
-        .into_iter()
-        .enumerate()
-    {
-        if wi > 0 {
-            json.push_str(",\n");
-        }
-        let _ = writeln!(json, "    \"{name}\": [");
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            let _ = write!(
-                json,
-                "      {{\"k\": {}, \"threads\": {}, \"ms_per_query\": {:.4}, \"speedup\": {:.2}}}",
-                c.k, c.threads, c.ms_per_query, c.speedup,
             );
         }
         json.push_str("\n    ]");

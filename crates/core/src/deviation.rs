@@ -19,7 +19,6 @@ use kpj_heap::IndexedMinHeap;
 use kpj_obs::Stage;
 use kpj_sp::{DenseDijkstra, Estimate, NO_PARENT};
 
-use crate::par::ParPool;
 use crate::pseudo_tree::{PseudoTree, VertexId, ROOT, VIRTUAL_NODE};
 use crate::search_core::{
     divide_subspace, emit_found, subspace_search, FoundPath, PathSink, SubspaceCtx,
@@ -89,7 +88,6 @@ pub(crate) fn run_deviation(
     tree: &mut PseudoTree,
     mode: DeviationMode<'_>,
     sink: &mut dyn PathSink,
-    par: Option<&ParPool>,
     stats: &mut QueryStats,
 ) {
     let mut c = std::mem::take(&mut scratch.dev_heap);
@@ -114,47 +112,9 @@ pub(crate) fn run_deviation(
         // the loop exits.)
         if more {
             let affected = std::mem::take(&mut scratch.affected);
-            match par {
-                // One candidate search per affected vertex is an
-                // embarrassingly parallel round: the tree was fully
-                // divided above, searches never read the arena, and the
-                // merge below re-pushes chains and heap entries in
-                // affected order — exactly the sequential schedule.
-                Some(pool) if affected.len() >= 2 && pool.workers() >= 2 => {
-                    stats.rounds_parallel += 1;
-                    stats.candidates_stolen += affected.len();
-                    let ftick = scratch.trace.start();
-                    let results = pool.fan_out(&affected, |_, &v, ws| {
-                        match candidate(
-                            ctx,
-                            &mut ws.scratch,
-                            &mut ws.cand,
-                            &mut ws.store,
-                            tree,
-                            mode,
-                            v,
-                            &mut ws.stats,
-                        ) {
-                            Some(f) => SubspaceSearch::Found(f),
-                            None => SubspaceSearch::Empty,
-                        }
-                    });
-                    for r in results {
-                        if let SubspaceSearch::Found(f) = r.outcome {
-                            let f = pool.copy_chain(r.worker, f, store);
-                            c.push(f.length, f);
-                        }
-                    }
-                    pool.absorb_worker_stats(stats);
-                    scratch.trace.record(Stage::ParFanout, ftick);
-                }
-                _ => {
-                    for &v in &affected {
-                        if let Some(f) = candidate(ctx, scratch, cand, store, tree, mode, v, stats)
-                        {
-                            c.push(f.length, f);
-                        }
-                    }
+            for &v in &affected {
+                if let Some(f) = candidate(ctx, scratch, cand, store, tree, mode, v, stats) {
+                    c.push(f.length, f);
                 }
             }
             scratch.affected = affected;
@@ -465,7 +425,6 @@ mod tests {
             &mut tree,
             mode,
             &mut sink,
-            None,
             &mut stats,
         );
         out
@@ -536,7 +495,6 @@ mod tests {
             &mut tree,
             DeviationMode::Gao(&spt),
             &mut sink,
-            None,
             &mut stats,
         );
         assert_eq!(out.len(), 2);
@@ -578,7 +536,6 @@ mod tests {
                 &mut tree,
                 mode,
                 &mut sink,
-                None,
                 &mut stats,
             );
             lens.push(out.lengths());
@@ -617,7 +574,6 @@ mod tests {
             &mut tree,
             DeviationMode::Plain,
             &mut sink,
-            None,
             &mut stats,
         );
         // DA computes a candidate for every subspace it creates.

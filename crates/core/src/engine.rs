@@ -13,7 +13,6 @@ use kpj_sp::{DenseDijkstra, Direction, Estimate, SearchOrder};
 use crate::bounds::{SourceLb, TargetsLb};
 use crate::deadline::Deadline;
 use crate::deviation::{run_deviation, CandidateScratch, DeviationMode};
-use crate::par::ParPool;
 use crate::paradigms::{run_best_first, run_iter_bound, PlainOracle, SubspaceOracle};
 use crate::pseudo_tree::{PseudoTree, VIRTUAL_NODE};
 use crate::search_core::{CollectSink, PathSink, SubspaceCtx, SubspaceScratch, VisitSink};
@@ -250,19 +249,13 @@ pub struct ParkedEngine {
     expand_buf: Vec<NodeId>,
     /// Pooled full-SPT scratch for the `DA-SPT` baselines.
     spt_scratch: Option<DenseDijkstra>,
-    /// Intra-query parallelism knob: number of pool workers candidate
-    /// rounds may fan out to. `0`/`1` = fully sequential.
-    par_threads: usize,
-    /// Lazily built worker pool (kept across queries; grows, never
-    /// shrinks — [`ParPool::set_limit`] caps participation per query).
-    par: Option<ParPool>,
 }
 
 impl ParkedEngine {
     /// Attach the warm state to `g` (plus its landmark index and
-    /// reduction, if any). Knobs — `α`, intra-query threads, trace
-    /// sampling — carry over; every scratch buffer is reused as is. A
-    /// target row never carries over: it belongs to one graph version.
+    /// reduction, if any). Knobs — `α` and trace sampling — carry over;
+    /// every scratch buffer is reused as is. A target row never carries
+    /// over: it belongs to one graph version.
     ///
     /// # Panics
     /// Panics if `g`'s node count differs from the one the scratch was
@@ -340,11 +333,6 @@ impl<'g> QueryEngine<'g> {
                 source_lb_buf: Vec::new(),
                 expand_buf: Vec::new(),
                 spt_scratch: None,
-                par_threads: std::env::var("KPJ_PAR_THREADS")
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-                    .unwrap_or(0),
-                par: None,
             },
         }
     }
@@ -422,35 +410,6 @@ impl<'g> QueryEngine<'g> {
         assert!(alpha > 1.0, "α must exceed 1");
         self.warm.alpha = alpha;
         self
-    }
-
-    /// Builder form of [`set_par_threads`](QueryEngine::set_par_threads).
-    pub fn with_par_threads(mut self, n: usize) -> Self {
-        self.set_par_threads(n);
-        self
-    }
-
-    /// Set the intra-query parallelism level: deviation/search rounds with
-    /// ≥ 2 pending candidate searches fan them out across `n` persistent
-    /// worker threads and merge the results in subspace-index order, so
-    /// the answer (paths, arena layout, and [`QueryStats`] except the
-    /// `rounds_parallel`/`candidates_stolen` work counters) is
-    /// bit-identical to a sequential run. `0` or `1` keeps every search on
-    /// the query thread. Defaults to the `KPJ_PAR_THREADS` environment
-    /// variable (unset → 0).
-    ///
-    /// The worker pool spins up lazily on the next query and is kept (and
-    /// only ever grown) across queries, preserving the warmed-engine
-    /// zero-allocation guarantee of
-    /// [`query_multi_into`](QueryEngine::query_multi_into).
-    pub fn set_par_threads(&mut self, n: usize) {
-        self.warm.par_threads = n;
-    }
-
-    /// Current intra-query parallelism level (see
-    /// [`set_par_threads`](QueryEngine::set_par_threads)).
-    pub fn par_threads(&self) -> usize {
-        self.warm.par_threads
     }
 
     /// The graph this engine answers queries on.
@@ -699,17 +658,6 @@ impl<'g> QueryEngine<'g> {
         if targets.is_empty() || k == 0 {
             return Ok(());
         }
-        if self.warm.par_threads >= 2 {
-            // Grow-only pool: rebuilding allocates, so it happens at most
-            // once per high-water mark; repeat queries only flip the
-            // allocation-free participation cap.
-            if self.warm.par.as_ref().map_or(0, |p| p.workers()) < self.warm.par_threads {
-                self.warm.par = Some(ParPool::new(self.warm.par_threads, self.g.node_count()));
-            }
-            if let Some(pool) = &self.warm.par {
-                pool.set_limit(self.warm.par_threads);
-            }
-        }
         self.warm.scratch.trace.begin();
 
         let mut src = std::mem::take(&mut self.warm.src_buf);
@@ -901,11 +849,6 @@ impl<'g> QueryEngine<'g> {
             },
             deadline,
         };
-        let par = if self.warm.par_threads >= 2 {
-            self.warm.par.as_ref()
-        } else {
-            None
-        };
         match alg {
             Algorithm::Da => run_deviation(
                 &ctx,
@@ -915,7 +858,6 @@ impl<'g> QueryEngine<'g> {
                 tree,
                 DeviationMode::Plain,
                 sink,
-                par,
                 stats,
             ),
             Algorithm::DaSpt | Algorithm::DaSptPascoal => {
@@ -949,7 +891,6 @@ impl<'g> QueryEngine<'g> {
                     tree,
                     mode,
                     sink,
-                    par,
                     stats,
                 );
                 self.warm.spt_scratch = Some(spt);
@@ -966,7 +907,6 @@ impl<'g> QueryEngine<'g> {
                     &mut oracle,
                     sink,
                     false,
-                    par,
                     stats,
                 )
             }
@@ -984,7 +924,6 @@ impl<'g> QueryEngine<'g> {
                     self.warm.alpha,
                     None,
                     false,
-                    par,
                     stats,
                 )
             }
@@ -1017,7 +956,6 @@ impl<'g> QueryEngine<'g> {
                     self.warm.alpha,
                     init,
                     false,
-                    par,
                     stats,
                 )
             }
@@ -1085,11 +1023,6 @@ impl<'g> QueryEngine<'g> {
             self.warm.alpha,
             init,
             true,
-            if self.warm.par_threads >= 2 {
-                self.warm.par.as_ref()
-            } else {
-                None
-            },
             stats,
         )
     }
@@ -1100,9 +1033,6 @@ impl<'g> QueryEngine<'g> {
     /// module). Landmark bounds are ignored: the SPT distances are exact
     /// and therefore dominate them, so `-NL` and landmark engines give
     /// byte-identical answers.
-    ///
-    /// Always sequential: there is no per-round candidate fan-out to
-    /// parallelise — the fast path does no search at all.
     #[allow(clippy::too_many_arguments)]
     fn run_sidetrack(
         &mut self,
@@ -1499,64 +1429,6 @@ mod tests {
         for alg in Algorithm::ALL {
             let r = engine.query_multi_deadline(alg, &[0], &h, 3, soon).unwrap();
             assert_eq!(lengths(&r), vec![5, 6, 7], "{}", alg.name());
-        }
-    }
-
-    #[test]
-    fn parallel_rounds_are_bit_identical_to_sequential() {
-        let (g, h) = paper_graph();
-        let idx = LandmarkIndex::build(&g, 4, SelectionStrategy::Farthest, 7);
-        let sources = [0u32, 1];
-        let mut fanned_out = 0usize;
-        for with_lm in [false, true] {
-            for threads in [2usize, 4] {
-                for alg in Algorithm::ALL {
-                    // Pin the baseline to sequential explicitly — a
-                    // KPJ_PAR_THREADS environment (e.g. the CI pass that
-                    // runs the whole suite under it) must not turn both
-                    // sides of this comparison parallel.
-                    let mut seq = QueryEngine::new(&g).with_par_threads(0);
-                    let mut par = QueryEngine::new(&g).with_par_threads(threads);
-                    if with_lm {
-                        seq = seq.with_landmarks(&idx);
-                        par = par.with_landmarks(&idx);
-                    }
-                    let a = seq.query_multi(alg, &sources, &h, 5).unwrap();
-                    let b = par.query_multi(alg, &sources, &h, 5).unwrap();
-                    // The whole flat arena, not just lengths: same node
-                    // sequences in the same rank order.
-                    assert_eq!(
-                        a.paths,
-                        b.paths,
-                        "{} threads={threads} landmarks={with_lm}",
-                        alg.name()
-                    );
-                    fanned_out += b.stats.rounds_parallel;
-                    let mut bs = b.stats;
-                    bs.rounds_parallel = 0;
-                    bs.candidates_stolen = 0;
-                    assert_eq!(a.stats, bs, "{} threads={threads}", alg.name());
-                }
-            }
-        }
-        // The paper graph is small but not degenerate: at least some
-        // rounds must actually have fanned out, or this test proves
-        // nothing.
-        assert!(fanned_out > 0);
-    }
-
-    #[test]
-    fn par_threads_zero_and_one_stay_sequential() {
-        let (g, h) = paper_graph();
-        let mut engine = QueryEngine::new(&g);
-        engine.set_par_threads(3);
-        assert_eq!(engine.par_threads(), 3);
-        // 0 and 1 both mean sequential: no round ever fans out.
-        for t in [0, 1] {
-            engine.set_par_threads(t);
-            let r = engine.query(Algorithm::Da, 0, &h, 3).unwrap();
-            assert_eq!(r.stats.rounds_parallel, 0);
-            assert_eq!(r.stats.candidates_stolen, 0);
         }
     }
 

@@ -45,6 +45,7 @@
 //! assert_eq!(lengths, vec![4, 4, 6]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bounds;
@@ -52,8 +53,6 @@ mod deadline;
 mod deviation;
 mod engine;
 pub mod general;
-pub mod offline;
-mod par;
 mod paradigms;
 mod pseudo_tree;
 pub mod reference;

@@ -25,7 +25,6 @@ use kpj_heap::MinHeap;
 use kpj_obs::Stage;
 use kpj_sp::Estimate;
 
-use crate::par::{ParPool, PAR_BATCH_MAX};
 use crate::pseudo_tree::{PseudoTree, VertexId, ROOT};
 use crate::search_core::{
     comp_lb, divide_subspace, emit_found, subspace_search, FoundPath, PathSink, SubspaceCtx,
@@ -74,16 +73,18 @@ impl<F: Fn(NodeId) -> Length> SubspaceOracle for PlainOracle<F> {
 /// heap).
 type Entry = (VertexId, Option<FoundPath>);
 
+/// Maximum round-batch size drained from the paradigm queues. Bounding
+/// the batch bounds the speculative overshoot at the termination
+/// boundary: at most `ROUND_BATCH_MAX - 1` searches of the final batch
+/// can be wasted, once per query.
+const ROUND_BATCH_MAX: usize = 16;
+
 /// Drain the *round batch*: starting from the just-popped unsolved entry
 /// `first`, keep popping while the queue head is also unsolved, up to
-/// [`PAR_BATCH_MAX`] entries. Every drained key is ≤ every remaining key,
-/// so each drained subspace would have been searched before any queued
-/// `Found` could terminate the loop — except possibly in the query's final
-/// batch, where the overshoot is bounded by the cap.
-///
-/// The drain rule is a pure function of the queue state and runs
-/// identically in sequential and parallel mode: it is the canonical
-/// algorithm, not a parallel-only code path (DESIGN.md §12).
+/// [`ROUND_BATCH_MAX`] entries. Every drained key is ≤ every remaining
+/// key, so each drained subspace would have been searched before any
+/// queued `Found` could terminate the loop — except possibly in the
+/// query's final batch, where the overshoot is bounded by the cap.
 fn drain_round_batch(
     q: &mut MinHeap<Length, Entry>,
     first: (Length, VertexId),
@@ -92,7 +93,7 @@ fn drain_round_batch(
 ) {
     batch.clear();
     batch.push(first);
-    while batch.len() < PAR_BATCH_MAX {
+    while batch.len() < ROUND_BATCH_MAX {
         let Some((k, &(v, payload))) = q.peek() else {
             break;
         };
@@ -109,12 +110,8 @@ fn drain_round_batch(
 /// best-first paradigm's unbounded `CompSP`s, `Some(τ)` for iter-bound's
 /// `TestLB` probes) and push the outcomes back in batch order. Returns
 /// `true` if a search aborted on the deadline (the caller stops).
-///
-/// With a pool and ≥ 2 tasks the searches fan out across threads into
-/// worker-local arenas; found chains are then copied into the main arena
-/// in batch order, reproducing the sequential arena layout bit for bit.
 #[allow(clippy::too_many_arguments)]
-fn run_search_batch<O: SubspaceOracle + Sync>(
+fn run_search_batch<O: SubspaceOracle>(
     ctx: &SubspaceCtx<'_>,
     scratch: &mut SubspaceScratch,
     store: &mut PathStore,
@@ -123,83 +120,36 @@ fn run_search_batch<O: SubspaceOracle + Sync>(
     batch: &[(Length, VertexId)],
     bound: Option<Length>,
     q: &mut MinHeap<Length, Entry>,
-    par: Option<&ParPool>,
     stats: &mut QueryStats,
 ) -> bool {
-    match par {
-        Some(pool) if batch.len() >= 2 && pool.workers() >= 2 => {
-            stats.rounds_parallel += 1;
-            stats.candidates_stolen += batch.len();
-            let ftick = scratch.trace.start();
-            let results = pool.fan_out(batch, |_, &(_, v), ws| {
-                subspace_search(
-                    ctx,
-                    &mut ws.scratch,
-                    &mut ws.store,
-                    tree,
-                    v,
-                    &mut |x| oracle.estimate(x),
-                    bound,
-                    &mut ws.stats,
-                )
-            });
-            let mut aborted = false;
-            for (r, &(_, vertex)) in results.iter().zip(batch) {
-                match r.outcome {
-                    SubspaceSearch::Found(f) => {
-                        let f = pool.copy_chain(r.worker, f, store);
-                        q.push(f.length, (vertex, Some(f)));
-                    }
-                    SubspaceSearch::Bounded => {
-                        q.push(
-                            bound.expect("bounded outcome implies a bound"),
-                            (vertex, None),
-                        );
-                    }
-                    SubspaceSearch::Empty => {}
-                    SubspaceSearch::Aborted => {
-                        // Match the sequential schedule: results after the
-                        // first abort are discarded unmerged.
-                        aborted = true;
-                        break;
-                    }
-                }
+    for &(_, vertex) in batch {
+        match subspace_search(
+            ctx,
+            scratch,
+            store,
+            tree,
+            vertex,
+            &mut |v| oracle.estimate(v),
+            bound,
+            stats,
+        ) {
+            SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f))),
+            SubspaceSearch::Bounded => {
+                q.push(
+                    bound.expect("bounded outcome implies a bound"),
+                    (vertex, None),
+                );
             }
-            pool.absorb_worker_stats(stats);
-            scratch.trace.record(Stage::ParFanout, ftick);
-            aborted
-        }
-        _ => {
-            for &(_, vertex) in batch {
-                match subspace_search(
-                    ctx,
-                    scratch,
-                    store,
-                    tree,
-                    vertex,
-                    &mut |v| oracle.estimate(v),
-                    bound,
-                    stats,
-                ) {
-                    SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f))),
-                    SubspaceSearch::Bounded => {
-                        q.push(
-                            bound.expect("bounded outcome implies a bound"),
-                            (vertex, None),
-                        );
-                    }
-                    SubspaceSearch::Empty => {}
-                    SubspaceSearch::Aborted => return true,
-                }
-            }
-            false
+            SubspaceSearch::Empty => {}
+            SubspaceSearch::Aborted => return true,
         }
     }
+    false
 }
 
 /// Alg. 2. Streams paths into `sink` in non-decreasing length order.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_best_first<O: SubspaceOracle + Sync>(
+pub(crate) fn run_best_first<O: SubspaceOracle>(
     ctx: &SubspaceCtx<'_>,
     scratch: &mut SubspaceScratch,
     store: &mut PathStore,
@@ -207,7 +157,6 @@ pub(crate) fn run_best_first<O: SubspaceOracle + Sync>(
     oracle: &mut O,
     sink: &mut dyn PathSink,
     reverse_output: bool,
-    par: Option<&ParPool>,
     stats: &mut QueryStats,
 ) {
     let mut q = std::mem::take(&mut scratch.para_heap);
@@ -244,7 +193,7 @@ pub(crate) fn run_best_first<O: SubspaceOracle + Sync>(
                 let mut batch = std::mem::take(&mut scratch.round_batch);
                 drain_round_batch(&mut q, (key, vertex), &mut batch, stats);
                 let aborted = run_search_batch(
-                    ctx, scratch, store, tree, &*oracle, &batch, None, &mut q, par, stats,
+                    ctx, scratch, store, tree, &*oracle, &batch, None, &mut q, stats,
                 );
                 scratch.round_batch = batch;
                 if aborted {
@@ -261,7 +210,7 @@ pub(crate) fn run_best_first<O: SubspaceOracle + Sync>(
 /// already computed it as a by-product (`SPT_P`/`SPT_I` construction);
 /// otherwise it is computed here with an unbounded subspace search.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_iter_bound<O: SubspaceOracle + Sync>(
+pub(crate) fn run_iter_bound<O: SubspaceOracle>(
     ctx: &SubspaceCtx<'_>,
     scratch: &mut SubspaceScratch,
     store: &mut PathStore,
@@ -271,7 +220,6 @@ pub(crate) fn run_iter_bound<O: SubspaceOracle + Sync>(
     alpha: f64,
     init: Option<FoundPath>,
     reverse_output: bool,
-    par: Option<&ParPool>,
     stats: &mut QueryStats,
 ) {
     debug_assert!(alpha > 1.0, "α must exceed 1 (got {alpha})");
@@ -331,8 +279,7 @@ pub(crate) fn run_iter_bound<O: SubspaceOracle + Sync>(
                 // with a batch of one this is exactly the paper's
                 // `max(lb(S), Q.top().key)`. One shared τ serves the
                 // whole round — a valid (possibly larger) threshold for
-                // every probe in it — so `prepare_tau` runs once, on this
-                // thread, freezing the oracle read-only for the round.
+                // every probe in it — so `prepare_tau` runs once per round.
                 let last = batch.last().expect("batch holds `first`").0;
                 let base = last.max(q.peek_key().unwrap_or(last));
                 let tau = next_tau(base, alpha);
@@ -352,7 +299,6 @@ pub(crate) fn run_iter_bound<O: SubspaceOracle + Sync>(
                     &batch,
                     Some(tau),
                     &mut q,
-                    par,
                     stats,
                 );
                 scratch.round_batch = batch;

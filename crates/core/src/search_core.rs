@@ -163,7 +163,7 @@ pub(crate) struct SubspaceScratch {
     /// Pooled subspace queue of the best-first / iter-bound paradigms.
     pub para_heap: MinHeap<Length, (VertexId, Option<FoundPath>)>,
     /// Pooled round batch drained from `para_heap` (the `(key, vertex)`
-    /// pairs of consecutive unsolved subspaces — see `crate::par`).
+    /// pairs of consecutive unsolved subspaces — see `crate::paradigms`).
     pub round_batch: Vec<(Length, VertexId)>,
     /// The query tracer: a pre-allocated span ring, threaded here so every
     /// primitive and paradigm can record stage spans without new

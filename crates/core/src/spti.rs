@@ -11,14 +11,6 @@
 //!
 //! The queue `Q_T` persists across `grow` calls within one query; a reset
 //! is `O(touched)`.
-//!
-//! **Parallel rounds.** With `par_threads >= 2` the store is *frozen
-//! during a round*: every `grow`/τ update happens on the main thread
-//! between rounds, and the fanned-out candidate searches only read it
-//! (`&SptiStore`, hence the `Sync` bounds on the oracle closures in
-//! `paradigms.rs`). That split is what makes the deterministic merge
-//! sound — no worker can observe a tree that differs from the one the
-//! sequential schedule would have seen.
 
 use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
 use kpj_graph::{Graph, Length, NodeId, PathId, PathStore, INFINITE_LENGTH};

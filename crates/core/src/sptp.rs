@@ -11,11 +11,6 @@
 //! The store is owned by the engine and reset per query in `O(1)`
 //! (epoch-stamped arrays), so — as the paper stresses — `SPT_P` really is a
 //! by-product of work the query does anyway.
-//!
-//! **Parallel rounds.** Once built, `SPT_P` is immutable for the rest of
-//! the query, so fanned-out candidate searches (`par_threads >= 2`) share
-//! it by `&`-reference across threads — the `Sync` bound on the oracle
-//! closures in `paradigms.rs` is exactly this read-only sharing contract.
 
 use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
 use kpj_graph::{Graph, Length, NodeId, PathId, PathStore, INFINITE_LENGTH};

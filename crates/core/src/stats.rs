@@ -45,13 +45,6 @@ pub struct QueryStats {
     pub tau_updates: usize,
     /// Final value of the iterative threshold τ (0 when not applicable).
     pub final_tau: u64,
-    /// Deviation/search rounds that fanned out to the intra-query worker
-    /// pool (0 when `par_threads < 2` or every round had one candidate).
-    pub rounds_parallel: usize,
-    /// Candidate searches executed by pool workers instead of the query
-    /// thread (the tasks dispatched across all parallel rounds; this is a
-    /// deterministic count, independent of which worker ran each task).
-    pub candidates_stolen: usize,
     /// Sidetrack edges examined while resolving subspaces (the
     /// `Sidetrack` engine's analogue of candidate-path computations: each
     /// scanned first-hop is one implicit deviation considered).
@@ -75,7 +68,7 @@ impl QueryStats {
     /// [`field_values`](QueryStats::field_values). Shared by the NDJSON
     /// `stats` block, the `metrics` verb, and the Prometheus counter
     /// series so the three surfaces cannot drift.
-    pub const FIELD_NAMES: [&'static str; 19] = [
+    pub const FIELD_NAMES: [&'static str; 17] = [
         "sp",
         "lb",
         "testlb",
@@ -89,8 +82,6 @@ impl QueryStats {
         "subspaces_skipped",
         "tau_updates",
         "tau",
-        "rounds_parallel",
-        "candidates_stolen",
         "sidetracks_scanned",
         "sidetrack_splices",
         "sidetrack_repairs",
@@ -98,7 +89,7 @@ impl QueryStats {
     ];
 
     /// Every counter, in [`FIELD_NAMES`](QueryStats::FIELD_NAMES) order.
-    pub fn field_values(&self) -> [u64; 19] {
+    pub fn field_values(&self) -> [u64; 17] {
         [
             self.shortest_path_computations as u64,
             self.lower_bound_computations as u64,
@@ -113,8 +104,6 @@ impl QueryStats {
             self.subspaces_skipped as u64,
             self.tau_updates as u64,
             self.final_tau,
-            self.rounds_parallel as u64,
-            self.candidates_stolen as u64,
             self.sidetracks_scanned as u64,
             self.sidetrack_splices as u64,
             self.sidetrack_repairs as u64,
@@ -155,8 +144,6 @@ impl QueryStats {
         self.subspaces_skipped += other.subspaces_skipped;
         self.tau_updates += other.tau_updates;
         self.final_tau = self.final_tau.max(other.final_tau);
-        self.rounds_parallel += other.rounds_parallel;
-        self.candidates_stolen += other.candidates_stolen;
         self.sidetracks_scanned += other.sidetracks_scanned;
         self.sidetrack_splices += other.sidetrack_splices;
         self.sidetrack_repairs += other.sidetrack_repairs;
@@ -214,12 +201,10 @@ mod tests {
             subspaces_skipped: 11,
             tau_updates: 12,
             final_tau: 13,
-            rounds_parallel: 14,
-            candidates_stolen: 15,
-            sidetracks_scanned: 16,
-            sidetrack_splices: 17,
-            sidetrack_repairs: 18,
-            target_row: 19,
+            sidetracks_scanned: 14,
+            sidetrack_splices: 15,
+            sidetrack_repairs: 16,
+            target_row: 17,
         };
         let mut out = String::new();
         s.write_json(&mut out);
@@ -228,8 +213,8 @@ mod tests {
             "{\"sp\":1,\"lb\":2,\"testlb\":3,\"testlb_bounded\":4,\"settled\":5,\
              \"relaxed\":6,\"spt_nodes\":7,\"subspaces\":8,\"heap_pops\":9,\
              \"lb_prunes\":10,\"subspaces_skipped\":11,\"tau_updates\":12,\"tau\":13,\
-             \"rounds_parallel\":14,\"candidates_stolen\":15,\"sidetracks_scanned\":16,\
-             \"sidetrack_splices\":17,\"sidetrack_repairs\":18,\"target_row\":19}"
+             \"sidetracks_scanned\":14,\"sidetrack_splices\":15,\"sidetrack_repairs\":16,\
+             \"target_row\":17}"
         );
         // Names and values stay parallel.
         assert_eq!(QueryStats::FIELD_NAMES.len(), s.field_values().len());

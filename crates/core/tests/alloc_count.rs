@@ -357,61 +357,6 @@ fn span_drain_and_sampling_are_allocation_free() {
     assert!(histogram[Stage::SptBuild.index()] > 0 || histogram[Stage::SpSearch.index()] > 0);
 }
 
-/// The zero-allocation steady state survives intra-query parallelism:
-/// with `par_threads = 4` the first query spawns the worker pool and
-/// grows the per-worker scratch (searcher, path arena, result slots);
-/// after that warm-up, repeat queries fan rounds out across the pool and
-/// merge them back without a single heap allocation — on the query
-/// thread *or* any worker (the counting allocator is process-wide).
-#[test]
-fn warmed_parallel_engine_is_allocation_free() {
-    let _serial = serial();
-    let g = lattice(400, 20);
-    let sources: Vec<NodeId> = vec![0, 1];
-    let targets: Vec<NodeId> = vec![395, 397, 399];
-    let k = 12;
-
-    let mut engine = QueryEngine::new(&g);
-    engine.set_par_threads(4);
-    let mut out = PathSet::new();
-
-    for alg in Algorithm::ALL {
-        engine
-            .query_multi_into(alg, &sources, &targets, k, Deadline::none(), &mut out)
-            .unwrap();
-        assert_eq!(out.len(), k, "{}: warm-up under-filled", alg.name());
-        let warm = out.lengths();
-
-        let mut fanned = 0usize;
-        let delta = min_alloc_delta(|| {
-            let stats = engine
-                .query_multi_into(alg, &sources, &targets, k, Deadline::none(), &mut out)
-                .unwrap();
-            fanned += stats.rounds_parallel;
-        });
-        assert_eq!(
-            delta,
-            0,
-            "{}: {delta} heap allocations in a warmed-up parallel query",
-            alg.name()
-        );
-        assert_eq!(out.lengths(), warm, "{}: answer drifted", alg.name());
-        // Sidetrack is sequential by design: its fast path resolves a
-        // subspace with zero search, so there is never a candidate batch
-        // to fan out (documented carve-out, DESIGN.md §17). The gate
-        // above still proves it allocation-free under `par_threads = 4`.
-        if alg == Algorithm::Sidetrack {
-            assert_eq!(fanned, 0, "Sidetrack must never fan out");
-        } else {
-            assert!(
-                fanned > 0,
-                "{}: no round fanned out — the parallel gate is vacuous",
-                alg.name()
-            );
-        }
-    }
-}
-
 #[test]
 fn warmed_engine_single_source_ksp_is_allocation_free() {
     let _serial = serial();

@@ -100,93 +100,24 @@ fn deadline_can_expire_anywhere_without_poisoning_scratch() {
 }
 
 #[test]
-fn par_deadline_can_expire_anywhere_without_poisoning_round_state() {
-    // The parallel variant of the ramp: with `par_threads >= 2`, expiry
-    // can land *mid round-batch* — some tasks of a fan-out abort while
-    // sibling tasks complete into worker-local arenas. The merge discards
-    // everything from the first abort on, so the invariant is identical
-    // to the sequential ramp: `DeadlineExceeded` or the exact answer,
-    // and the next unbounded query on the same engine must be
-    // bit-identical to a sequential baseline (no chain left in a worker
-    // arena, no heap entry from a cut round, no stale round_batch).
-    let g = ramp_graph(300, 79);
-    let sources: Vec<NodeId> = vec![0];
-    let targets: Vec<NodeId> = vec![297, 298, 299];
-    let k = 16;
-
-    let mut seq = QueryEngine::new(&g).with_par_threads(0);
-    for threads in [2usize, 4] {
-        let mut engine = QueryEngine::new(&g).with_par_threads(threads);
-        for alg in Algorithm::ALL {
-            let want = seq.query_multi(alg, &sources, &targets, k).unwrap();
-            assert_eq!(
-                want.paths.len(),
-                k,
-                "{}: graph too small for ramp",
-                alg.name()
-            );
-
-            let mut expired = 0u32;
-            let budgets = std::iter::once(Duration::ZERO)
-                .chain((0..21).map(|i| Duration::from_nanos(1 << i)));
-            for budget in budgets {
-                match engine.query_multi_deadline(
-                    alg,
-                    &sources,
-                    &targets,
-                    k,
-                    Deadline::after(budget),
-                ) {
-                    Err(QueryError::DeadlineExceeded) => expired += 1,
-                    Err(other) => {
-                        panic!("{} par={threads} budget {budget:?}: {other:?}", alg.name())
-                    }
-                    Ok(r) => assert_eq!(
-                        r.paths,
-                        want.paths,
-                        "{} par={threads} budget {budget:?}: partial answer",
-                        alg.name()
-                    ),
-                }
-                // Round-state hygiene after every interruption point: the
-                // very next unbounded parallel query must match the
-                // sequential baseline bit for bit.
-                let retry = engine.query_multi(alg, &sources, &targets, k).unwrap();
-                assert_eq!(
-                    retry.paths,
-                    want.paths,
-                    "{} par={threads} budget {budget:?}: round state poisoned",
-                    alg.name()
-                );
-            }
-            assert!(
-                expired > 0,
-                "{} par={threads}: no budget in the ramp expired",
-                alg.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn zero_timeout_interleaved_with_parallel_queries_stays_exact() {
+fn zero_timeout_interleaved_with_queries_stays_exact() {
     // The serving layer's `timeout_ms=0` maps to an already-expired
-    // deadline. Interleave a burst of those with unbounded queries on a
-    // parallel engine: every zero-budget attempt must fail cleanly and
-    // every unbounded query in between must still be exact — the exact
-    // combination (`timeout_ms=0` × `KPJ_PAR_THREADS>1`) a retry storm
-    // against a saturated service produces.
+    // deadline. Interleave a burst of those with unbounded multi-source
+    // queries on one warmed engine: every zero-budget attempt must fail
+    // cleanly and every unbounded query in between must still match a
+    // fresh engine's answer — the combination a retry storm against a
+    // saturated service produces.
     let g = ramp_graph(200, 80);
     let sources: Vec<NodeId> = vec![0, 1];
     let targets: Vec<NodeId> = vec![197, 198, 199];
     let k = 12;
 
-    let mut seq = QueryEngine::new(&g).with_par_threads(0);
-    let mut engine = QueryEngine::new(&g).with_par_threads(3);
+    let mut engine = QueryEngine::new(&g);
     for alg in Algorithm::ALL {
-        let want = seq.query_multi(alg, &sources, &targets, k).unwrap();
+        let want = QueryEngine::new(&g)
+            .query_multi(alg, &sources, &targets, k)
+            .unwrap();
         assert_eq!(want.paths.len(), k, "{}", alg.name());
-        // Warm the parallel engine (spawns the pool, grows scratch).
         let warm = engine.query_multi(alg, &sources, &targets, k).unwrap();
         assert_eq!(warm.paths, want.paths, "{}: warm-up diverged", alg.name());
 

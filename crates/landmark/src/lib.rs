@@ -24,6 +24,7 @@
 //! `d(v, V_T)` for one recurring target set. Both kinds are repaired
 //! after a weight-update batch by the same code (the `repair` module).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod persist;
@@ -39,14 +40,6 @@ use kpj_graph::{Graph, GraphError, Length, NodeId, SectionBuf, INFINITE_LENGTH};
 use kpj_sp::DenseDijkstra;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Batch shortest-path solver used by [`LandmarkIndex::build_with_solver`]:
-/// for each `sources[i]`, writes the full forward distance array
-/// `δ(sources[i], ·)` into `out[i*n .. (i+1)*n]`.
-///
-/// The default solver runs [`DenseDijkstra`] per source sequentially;
-/// `kpj-core` provides one that fans the sources across its worker pool.
-pub type RowSolver<'a> = dyn Fn(&Graph, &[NodeId], &mut [Length]) + 'a;
 
 /// How landmarks are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,129 +117,6 @@ impl LandmarkIndex {
                     }
                     landmarks.push(next);
                     tables.extend(d);
-                }
-            }
-        }
-        Self::from_parts(landmarks, tables, n)
-    }
-
-    /// Like [`build`](Self::build), but shortest-path rows are produced by
-    /// `solver` in batches of up to `batch` sources, enabling parallel
-    /// offline construction while staying **bit-identical** to the
-    /// sequential build for any `(strategy, seed)`.
-    ///
-    /// `Random` selection is trivially batchable: the landmark set is fixed
-    /// before any distance is computed, so all rows go to the solver at
-    /// once. `Farthest` selection is an inherently sequential chain — each
-    /// pick depends on the min-distance field of all previous picks — so
-    /// batches are *speculative*: the next pick is predicted exactly by
-    /// replaying [`farthest`] on a **cloned** RNG (identical state ⇒
-    /// identical tie-breaks), and the remaining batch slots are filled with
-    /// the highest stale min-distance nodes (ties to the lowest id). The
-    /// real RNG then advances by exactly the calls the sequential build
-    /// makes; speculative rows are used on hit and recomputed on miss, so
-    /// the resulting index never depends on speculation accuracy.
-    pub fn build_with_solver(
-        g: &Graph,
-        count: usize,
-        strategy: SelectionStrategy,
-        seed: u64,
-        batch: usize,
-        solver: &RowSolver<'_>,
-    ) -> Self {
-        let n = g.node_count();
-        let count = count.min(n);
-        let batch = batch.max(1);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut landmarks: Vec<NodeId> = Vec::with_capacity(count);
-        let mut tables: Vec<Length> = Vec::with_capacity(count * n);
-
-        if n == 0 || count == 0 {
-            return Self::from_parts(landmarks, tables, n);
-        }
-
-        match strategy {
-            SelectionStrategy::Random => {
-                let mut chosen = vec![false; n];
-                while landmarks.len() < count {
-                    let v = rng.gen_range(0..n);
-                    if !chosen[v] {
-                        chosen[v] = true;
-                        landmarks.push(v as NodeId);
-                    }
-                }
-                tables.resize(landmarks.len() * n, 0);
-                solver(g, &landmarks, &mut tables);
-            }
-            SelectionStrategy::Farthest => {
-                let start = rng.gen_range(0..n) as NodeId;
-                let mut d0 = vec![0; n];
-                solver(g, std::slice::from_ref(&start), &mut d0);
-                let first = farthest(&d0, &mut rng);
-                let mut min_dist = vec![0; n];
-                solver(g, std::slice::from_ref(&first), &mut min_dist);
-                landmarks.push(first);
-                tables.extend_from_slice(&min_dist);
-
-                let mut spec_rows: Vec<Length> = Vec::new();
-                let mut row_buf: Vec<Length> = vec![0; n];
-                'outer: while landmarks.len() < count {
-                    // Speculate a batch of candidate landmarks.
-                    let want = batch.min(count - landmarks.len());
-                    let mut cands: Vec<NodeId> = Vec::with_capacity(want);
-                    cands.push(farthest(&min_dist, &mut rng.clone()));
-                    while cands.len() < want {
-                        let mut best: Option<usize> = None;
-                        for (v, &d) in min_dist.iter().enumerate() {
-                            let vid = v as NodeId;
-                            if cands.contains(&vid) || landmarks.contains(&vid) {
-                                continue;
-                            }
-                            match best {
-                                Some(b) if d <= min_dist[b] => {}
-                                _ => best = Some(v),
-                            }
-                        }
-                        match best {
-                            Some(v) => cands.push(v as NodeId),
-                            None => break,
-                        }
-                    }
-                    spec_rows.resize(cands.len() * n, 0);
-                    solver(g, &cands, &mut spec_rows);
-                    let mut used = vec![false; cands.len()];
-
-                    // Consume: replay the exact RNG calls the sequential
-                    // build makes, drawing rows from the batch when the
-                    // prediction held and recomputing when it went stale.
-                    loop {
-                        if landmarks.len() >= count {
-                            break 'outer;
-                        }
-                        let next = farthest(&min_dist, &mut rng);
-                        if landmarks.contains(&next) {
-                            break 'outer;
-                        }
-                        let hit = cands.iter().position(|&c| c == next).filter(|&j| !used[j]);
-                        let row: &[Length] = match hit {
-                            Some(j) => {
-                                used[j] = true;
-                                &spec_rows[j * n..(j + 1) * n]
-                            }
-                            None => {
-                                solver(g, std::slice::from_ref(&next), &mut row_buf);
-                                &row_buf
-                            }
-                        };
-                        for (m, &dv) in min_dist.iter_mut().zip(row) {
-                            *m = (*m).min(dv);
-                        }
-                        landmarks.push(next);
-                        tables.extend_from_slice(row);
-                        if hit.is_none() || used.iter().all(|&u| u) {
-                            break; // speculation exhausted or stale: restock
-                        }
-                    }
                 }
             }
         }
@@ -592,61 +462,6 @@ mod tests {
         let a = LandmarkIndex::build(&g, 4, SelectionStrategy::Farthest, 9);
         let b = LandmarkIndex::build(&g, 4, SelectionStrategy::Farthest, 9);
         assert_eq!(a.landmarks(), b.landmarks());
-    }
-
-    /// The sequential reference solver for [`build_with_solver`].
-    fn seq_solver(g: &Graph, sources: &[NodeId], out: &mut [Length]) {
-        let n = g.node_count();
-        for (i, &s) in sources.iter().enumerate() {
-            out[i * n..(i + 1) * n].copy_from_slice(DenseDijkstra::from_source(g, s).dist_slice());
-        }
-    }
-
-    #[test]
-    fn batched_build_is_bit_identical_to_sequential() {
-        let g = grid3x3();
-        for strategy in [SelectionStrategy::Farthest, SelectionStrategy::Random] {
-            for seed in 0..6u64 {
-                for count in [1usize, 3, 5, 9] {
-                    let reference = LandmarkIndex::build(&g, count, strategy, seed);
-                    for batch in [1usize, 2, 4, 16] {
-                        let batched = LandmarkIndex::build_with_solver(
-                            &g,
-                            count,
-                            strategy,
-                            seed,
-                            batch,
-                            &seq_solver,
-                        );
-                        assert_eq!(
-                            batched, reference,
-                            "{strategy:?} seed={seed} count={count} batch={batch}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_build_handles_disconnected_graphs() {
-        // Two components force the early-exit branch mid-batch.
-        let mut b = GraphBuilder::new(4);
-        b.add_bidirectional(0, 1, 1).unwrap();
-        b.add_bidirectional(2, 3, 1).unwrap();
-        let g = b.build();
-        for seed in 0..4u64 {
-            let reference = LandmarkIndex::build(&g, 4, SelectionStrategy::Farthest, seed);
-            let batched = LandmarkIndex::build_with_solver(
-                &g,
-                4,
-                SelectionStrategy::Farthest,
-                seed,
-                3,
-                &seq_solver,
-            );
-            assert_eq!(batched, reference, "seed={seed}");
-        }
     }
 
     #[test]

@@ -30,9 +30,6 @@ pub enum Stage {
     SpSearch,
     /// One deviation round: pop a candidate, emit it, divide its subspace.
     DeviationRound,
-    /// One parallel fan-out: a round batch of candidate searches dispatched
-    /// to the intra-query worker pool, merged in subspace-index order.
-    ParFanout,
     /// Rendering the wire response body.
     Encode,
     /// End-to-end service latency (admission to reply).
@@ -41,7 +38,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every stage, in display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -51,7 +48,6 @@ impl Stage {
         Stage::SptBuild,
         Stage::SpSearch,
         Stage::DeviationRound,
-        Stage::ParFanout,
         Stage::Encode,
         Stage::Total,
     ];
@@ -70,7 +66,6 @@ impl Stage {
             Stage::SptBuild => "spt_build",
             Stage::SpSearch => "sp_search",
             Stage::DeviationRound => "deviation_round",
-            Stage::ParFanout => "par_fanout",
             Stage::Encode => "encode",
             Stage::Total => "total",
         }

@@ -40,7 +40,7 @@ fn violation(invariant: &'static str, detail: String) -> Violation {
 pub fn check_case(case: &OracleCase) -> Result<(), Violation> {
     let g = case.graph();
     let baseline = check_engines(case, &g)?;
-    check_parallel(case, &g)?;
+    check_warm_repeat(case, &g)?;
     check_reference(case, &g, &baseline)?;
     check_reorder(case, &g)?;
     check_reduce(case, &g)?;
@@ -147,58 +147,51 @@ pub(crate) fn target_row(case: &OracleCase, g: &Graph) -> Option<Arc<TargetRow>>
     (valid && !case.targets.is_empty()).then(|| Arc::new(TargetRow::build(g, &case.targets)))
 }
 
-/// Parallel determinism stage: with `par_threads ∈ {2, 4}` every
-/// algorithm must return a *bit-identical* [`kpj_graph::PathSet`] (same
-/// node sequences, same flat-arena order — not just the same lengths) and
-/// identical [`kpj_core::QueryStats`], modulo the two counters that
-/// describe the parallelism itself (`rounds_parallel`,
-/// `candidates_stolen`, zeroed before comparing). This is the engine's
-/// canonical-round-batch contract: thread count changes who executes a
-/// round, never the schedule or the merge order.
-fn check_parallel(case: &OracleCase, g: &Graph) -> Result<(), Violation> {
+/// Warm-repeat stage: one engine answers every algorithm twice, first
+/// without and then (retargeted) with landmarks, and the second answer
+/// must equal the first — the whole [`kpj_graph::PathSet`] (same node
+/// sequences in the same flat-arena order, not just the same lengths)
+/// and every [`kpj_core::QueryStats`] counter. Every other algorithm runs
+/// in between, so any scratch state one query leaves behind for the next
+/// to read shows up here.
+fn check_warm_repeat(case: &OracleCase, g: &Graph) -> Result<(), Violation> {
     let idx = LandmarkIndex::build(
         g,
         3.min(g.node_count()),
         SelectionStrategy::Farthest,
         case.seed,
     );
+    let mut engine = QueryEngine::new(g);
     for with_lm in [false, true] {
-        // with_par_threads(0) pins the baseline sequential even when the
-        // suite itself runs under KPJ_PAR_THREADS (CI does exactly that).
-        let mut seq = QueryEngine::new(g).with_par_threads(0);
         if with_lm {
-            seq = seq.with_landmarks(&idx);
+            engine = engine.retarget(g, Some(&idx), None);
         }
-        for threads in [2usize, 4] {
-            let mut par = QueryEngine::new(g).with_par_threads(threads);
-            if with_lm {
-                par = par.with_landmarks(&idx);
-            }
-            for alg in Algorithm::ALL {
-                let tag = format!("{} landmarks={with_lm} par_threads={threads}", alg.name());
-                let s = seq
-                    .query_multi(alg, &case.sources, &case.targets, case.k)
-                    .map_err(|e| violation("engine-error", format!("{tag} (seq): {e:?}")))?;
-                let p = par
+        let mut first = Vec::with_capacity(Algorithm::ALL.len());
+        for pass in 0..2 {
+            for (i, alg) in Algorithm::ALL.into_iter().enumerate() {
+                let tag = format!("{} landmarks={with_lm} pass={pass}", alg.name());
+                let r = engine
                     .query_multi(alg, &case.sources, &case.targets, case.k)
                     .map_err(|e| violation("engine-error", format!("{tag}: {e:?}")))?;
-                if p.paths != s.paths {
+                if pass == 0 {
+                    first.push(r);
+                    continue;
+                }
+                let want = &first[i];
+                if r.paths != want.paths {
                     return Err(violation(
-                        "par-bit-identical",
+                        "warm-repeat-paths",
                         format!(
-                            "{tag}: parallel paths diverge from sequential ({:?} != {:?})",
-                            p.paths.lengths(),
-                            s.paths.lengths()
+                            "{tag}: repeat diverges from the first answer ({:?} != {:?})",
+                            r.paths.lengths(),
+                            want.paths.lengths()
                         ),
                     ));
                 }
-                let mut ps = p.stats;
-                ps.rounds_parallel = 0;
-                ps.candidates_stolen = 0;
-                if ps != s.stats {
+                if r.stats != want.stats {
                     return Err(violation(
-                        "par-stats",
-                        format!("{tag}: stats diverge ({ps:?} != {:?})", s.stats),
+                        "warm-repeat-stats",
+                        format!("{tag}: stats diverge ({:?} != {:?})", r.stats, want.stats),
                     ));
                 }
             }

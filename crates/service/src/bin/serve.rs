@@ -42,7 +42,6 @@ OPTIONS:
     --arcs <M>           road-network arcs       [default: 12000]
     --seed <S>           road-network seed       [default: 7]
     --workers <W>        engine workers, 0=auto  [default: 0]
-    --par-max <P>        intra-query threads per worker, 0=off [default: 0]
     --queue-cap <Q>      admission queue bound   [default: 256]
     --cache-cap <C>      result-cache entries    [default: 4096]
     --no-cache           disable the result cache
@@ -67,7 +66,6 @@ struct Opts {
     arcs: usize,
     seed: u64,
     workers: usize,
-    par_max: usize,
     queue_cap: usize,
     cache_cap: usize,
     landmarks: usize,
@@ -84,7 +82,6 @@ fn parse_opts() -> Result<Opts, String> {
         arcs: 12_000,
         seed: 7,
         workers: 0,
-        par_max: 0,
         queue_cap: 256,
         cache_cap: 4_096,
         landmarks: 8,
@@ -105,7 +102,6 @@ fn parse_opts() -> Result<Opts, String> {
             "--arcs" => opts.arcs = num(&value("--arcs")?, "--arcs")?,
             "--seed" => opts.seed = num(&value("--seed")?, "--seed")? as u64,
             "--workers" => opts.workers = num(&value("--workers")?, "--workers")?,
-            "--par-max" => opts.par_max = num(&value("--par-max")?, "--par-max")?,
             "--queue-cap" => opts.queue_cap = num(&value("--queue-cap")?, "--queue-cap")?,
             "--cache-cap" => opts.cache_cap = num(&value("--cache-cap")?, "--cache-cap")?,
             "--no-cache" => opts.cache_cap = 0,
@@ -212,12 +208,11 @@ fn main() -> ExitCode {
     };
     if landmarks.is_none() && opts.landmarks > 0 {
         eprintln!("building {} landmarks (farthest selection)", opts.landmarks);
-        landmarks = Some(Arc::new(kpj_core::offline::build_landmarks_parallel(
+        landmarks = Some(Arc::new(LandmarkIndex::build(
             &graph,
             opts.landmarks,
             SelectionStrategy::Farthest,
             opts.seed,
-            0,
         )));
     }
 
@@ -225,7 +220,7 @@ fn main() -> ExitCode {
         pool: PoolConfig {
             workers: opts.workers,
             queue_capacity: opts.queue_cap,
-            par_threads_max: opts.par_max,
+            ..PoolConfig::default()
         },
         cache_capacity: opts.cache_cap,
         trace_sample: opts.trace_sample,

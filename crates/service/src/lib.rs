@@ -65,9 +65,7 @@ pub use metrics::{
     algorithm_index, event, gauge, Histogram, Metrics, MetricsSnapshot, EVENT_KINDS, GAUGE_NAMES,
     JOURNAL_CAPACITY, SLOW_SHED_US,
 };
-pub use pool::{
-    par_grant, resolve_workers, EnginePool, JobHandle, PoolConfig, PoolHooks, QueryRequest,
-};
+pub use pool::{resolve_workers, EnginePool, JobHandle, PoolConfig, PoolHooks, QueryRequest};
 pub use rows::{Sightings, TargetRows, ROW_BUDGET};
 pub use server::serve;
 pub use service::{Answer, KpjService, ServiceConfig, UpdateOutcome};

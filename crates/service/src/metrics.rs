@@ -18,7 +18,7 @@ use kpj_obs::{EventJournal, EventKind, GaugeSet, Stage, StageRegistry, MAX_EVENT
 /// [`MetricsSnapshot`]. Kept next to a compile-time length check so a
 /// reordering of the field table cannot silently skew the snapshot.
 mod field {
-    pub const TARGET_ROW: usize = 18;
+    pub const TARGET_ROW: usize = 16;
     pub const SP: usize = 0;
     pub const LB: usize = 1;
     pub const TESTLB: usize = 2;
@@ -32,7 +32,7 @@ mod field {
 }
 
 const _: () = {
-    assert!(QueryStats::FIELD_NAMES.len() == 19);
+    assert!(QueryStats::FIELD_NAMES.len() == 17);
 };
 
 /// Indices into the service's [`GaugeSet`] — the system-state gauges
@@ -55,23 +55,21 @@ pub mod gauge {
     pub const QUEUE_DEPTH: usize = 5;
     /// Workers currently executing a query.
     pub const BUSY_WORKERS: usize = 6;
-    /// Intra-query parallel threads granted and outstanding.
-    pub const PAR_GRANTS: usize = 7;
     /// Completed entries resident across all cache shards (sampled).
-    pub const CACHE_ENTRIES: usize = 8;
+    pub const CACHE_ENTRIES: usize = 7;
     /// Single-flight slots other requests may be waiting on (sampled).
-    pub const CACHE_WAITERS: usize = 9;
+    pub const CACHE_WAITERS: usize = 8;
     /// Ready entries evicted by LRU pressure (monotone).
-    pub const CACHE_EVICTIONS: usize = 10;
+    pub const CACHE_EVICTIONS: usize = 9;
     /// Bytes served zero-copy from an mmap'd store file (0 = heap).
-    pub const MMAP_BYTES: usize = 11;
+    pub const MMAP_BYTES: usize = 10;
     /// Interior nodes re-expanded into the last query's answer paths
     /// (the peak is the heaviest expansion seen). 0 without a reduction.
-    pub const EXPAND_HOPS: usize = 12;
+    pub const EXPAND_HOPS: usize = 11;
     /// Exact target rows held by the serving epoch.
-    pub const TARGET_ROWS: usize = 13;
+    pub const TARGET_ROWS: usize = 12;
     /// Number of gauges.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 13;
 }
 
 /// Gauge names, indexed by the [`gauge`] constants.
@@ -83,7 +81,6 @@ pub const GAUGE_NAMES: [&str; gauge::COUNT] = [
     "repair_queue",
     "queue_depth",
     "busy_workers",
-    "par_grants",
     "cache_entries",
     "cache_waiters",
     "cache_evictions",

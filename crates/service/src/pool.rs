@@ -87,11 +87,9 @@ pub struct PoolConfig {
     /// Maximum queued (not yet running) requests before admission
     /// control rejects with [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
-    /// Upper bound on *intra-query* threads a worker may grant itself
-    /// (`QueryEngine::set_par_threads`). `0` disables intra-query
-    /// parallelism entirely; values `>= 2` let an idle pool spend its
-    /// spare workers widening one query's deviation rounds. The grant
-    /// is adaptive — see [`par_grant`].
+    /// Unused: the engine runs every query on one thread. Kept only
+    /// because `perfbench/src/setup.rs` still sets it; the next change
+    /// to that benchmark deletes the field.
     pub par_threads_max: usize,
 }
 
@@ -118,33 +116,6 @@ pub fn resolve_workers(requested: usize) -> usize {
         requested
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-}
-
-/// How many intra-query threads a worker should grant the job it just
-/// popped. The pool's spare capacity is split evenly among the workers
-/// currently busy: an idle pool hands one query the full
-/// `par_threads_max`, a saturated pool degrades to sequential (inter-
-/// query replication already uses every core). Deadline-carrying jobs
-/// always get the maximum — latency is what the budget protects, and a
-/// deadline miss costs more than a little oversubscription.
-///
-/// Parallel execution is bit-identical to sequential (the engine's
-/// canonical-round-batch contract), so the grant can vary per job
-/// without making answers depend on load.
-pub fn par_grant(worker_count: usize, busy: usize, par_max: usize, has_deadline: bool) -> usize {
-    if par_max < 2 {
-        return 0;
-    }
-    let grant = if has_deadline {
-        par_max
-    } else {
-        (worker_count / busy.max(1)).clamp(1, par_max)
-    };
-    if grant >= 2 {
-        grant
-    } else {
-        0
     }
 }
 
@@ -258,9 +229,7 @@ struct Shared {
     not_empty: Condvar,
     capacity: usize,
     executed: AtomicU64,
-    /// Workers currently executing a job — the load signal behind the
-    /// adaptive intra-query grant ([`par_grant`]) and the
-    /// `busy_workers` gauge.
+    /// Workers currently executing a job (the `busy_workers` gauge).
     busy: AtomicUsize,
     /// Mirror of [`PoolHooks::metrics`], reachable from the pop sites so
     /// the `queue_depth` gauge tracks both ends of the queue.
@@ -334,7 +303,6 @@ impl EnginePool {
             metrics: hooks.metrics.clone(),
             sightings: Sightings::default(),
         });
-        let par_threads_max = config.par_threads_max;
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -342,9 +310,7 @@ impl EnginePool {
                 let hooks = hooks.clone();
                 std::thread::Builder::new()
                     .name(format!("kpj-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(&shared, &epochs, &hooks, worker_count, par_threads_max)
-                    })
+                    .spawn(move || worker_loop(&shared, &epochs, &hooks))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -605,13 +571,7 @@ fn next_job(shared: &Shared, epochs: &EpochCell, held: &GraphEpoch) -> Next {
     }
 }
 
-fn worker_loop(
-    shared: &Shared,
-    epochs: &EpochCell,
-    hooks: &PoolHooks,
-    worker_count: usize,
-    par_threads_max: usize,
-) {
+fn worker_loop(shared: &Shared, epochs: &EpochCell, hooks: &PoolHooks) {
     // A job popped under one epoch's engine that belongs to the next
     // epoch; carried across the retarget below.
     let mut carry: Option<Job> = None;
@@ -643,16 +603,9 @@ fn worker_loop(
             // gets an answer.
             let guard = SlotGuard(Arc::clone(&job.slot));
             let r = &job.request;
-            let busy = shared.busy.fetch_add(1, Ordering::Relaxed) + 1;
-            let grant = par_grant(worker_count, busy, par_threads_max, r.timeout_ms.is_some());
-            if par_threads_max >= 2 {
-                engine.set_par_threads(grant);
-            }
+            shared.busy.fetch_add(1, Ordering::Relaxed);
             if let Some(metrics) = &hooks.metrics {
                 metrics.gauges().add(gauge::BUSY_WORKERS, 1);
-                if grant >= 2 {
-                    metrics.gauges().add(gauge::PAR_GRANTS, grant as i64);
-                }
             }
             let started = Instant::now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -700,9 +653,6 @@ fn worker_loop(
             shared.busy.fetch_sub(1, Ordering::Relaxed);
             if let Some(metrics) = &hooks.metrics {
                 metrics.gauges().add(gauge::BUSY_WORKERS, -1);
-                if grant >= 2 {
-                    metrics.gauges().add(gauge::PAR_GRANTS, -(grant as i64));
-                }
             }
             match outcome {
                 Ok(result) => job.slot.fill(result.map_err(ServiceError::Query)),
@@ -857,58 +807,6 @@ mod tests {
                     > 0,
             "no engine spans reached the registry"
         );
-    }
-
-    #[test]
-    fn par_grant_splits_spare_capacity() {
-        // Disabled knob always grants sequential.
-        assert_eq!(par_grant(8, 1, 0, false), 0);
-        assert_eq!(par_grant(8, 1, 1, true), 0);
-        // Idle pool: one busy worker gets the full budget.
-        assert_eq!(par_grant(8, 1, 4, false), 4);
-        // Half-busy: spare capacity splits.
-        assert_eq!(par_grant(8, 4, 4, false), 2);
-        // Saturated (or oversubscribed): degrade to sequential.
-        assert_eq!(par_grant(8, 8, 4, false), 0);
-        assert_eq!(par_grant(4, 9, 4, false), 0);
-        // Deadline-carrying jobs always get the maximum.
-        assert_eq!(par_grant(8, 8, 4, true), 4);
-        // Single-worker pools never self-parallelize without a deadline.
-        assert_eq!(par_grant(1, 1, 4, false), 0);
-        assert_eq!(par_grant(1, 1, 4, true), 4);
-    }
-
-    #[test]
-    fn par_enabled_pool_answers_like_sequential() {
-        let graph = diamond();
-        let seq = EnginePool::new(
-            Arc::clone(&graph),
-            None,
-            PoolConfig {
-                workers: 1,
-                queue_capacity: 8,
-                ..Default::default()
-            },
-        );
-        let par = EnginePool::new(
-            graph,
-            None,
-            PoolConfig {
-                workers: 2,
-                queue_capacity: 8,
-                par_threads_max: 4,
-            },
-        );
-        // A deadline-free query on an idle 2-worker pool grants 2
-        // intra-query threads; a deadline forces the full 4. Either way
-        // the answer must match the sequential pool's bit for bit.
-        for timeout_ms in [None, Some(10_000)] {
-            let mut req = request(3);
-            req.timeout_ms = timeout_ms;
-            let a = seq.run(req.clone()).unwrap();
-            let b = par.run(req).unwrap();
-            assert_eq!(a.paths, b.paths);
-        }
     }
 
     #[test]

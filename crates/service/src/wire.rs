@@ -312,7 +312,6 @@ fn status_response(service: &KpjService, id: Json) -> String {
             Json::from(pool.queue_capacity()),
         ),
         ("executed".to_string(), Json::from(pool.executed())),
-        ("par_grants".to_string(), read(gauge::PAR_GRANTS)),
         ("rejected".to_string(), Json::from(s.rejected)),
     ]);
     let shards: Vec<Json> = service

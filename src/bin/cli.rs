@@ -36,7 +36,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(rest) {
+    let opts = match Opts::parse(rest).and_then(|o| o.check(cmd)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -73,10 +73,9 @@ kpj-cli — top-k shortest path join queries
 commands:
   generate  --out FILE (--dataset NAME --scale S | --nodes N --arcs M) [--seed S]
   pois      --graph FILE --out FILE [--kind nested|cal] [--seed S]
-  landmarks --graph FILE --out FILE [--count N] [--seed S] [--threads T]
+  landmarks --graph FILE --out FILE [--count N] [--seed S]
   convert   --graph FILE --out FILE --to-v2 [--reduce [--keep a,b,c]]
-            [--reorder] [--landmarks N] [--threads T] [--categories FILE]
-            [--seed S]
+            [--reorder] [--landmarks N] [--categories FILE] [--seed S]
             (write the page-aligned v2 format: zero-copy mmap on load,
              optional graph reduction — degree-2 chain contraction plus
              V_S/V_T pruning around the --keep ids and category members —
@@ -134,6 +133,19 @@ impl Opts {
         Ok(Opts(out))
     }
 
+    /// Reject any key that `cmd`'s USAGE entry does not list (`-k` is
+    /// the key `k`), so a misspelt option fails instead of being ignored.
+    /// Unknown commands pass through to the dispatcher's own error.
+    fn check(self, cmd: &str) -> Result<Opts, String> {
+        let Some(allowed) = usage_options(cmd) else {
+            return Ok(self);
+        };
+        match self.0.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            Some((key, _)) => Err(format!("unknown option --{key} for {cmd}")),
+            None => Ok(self),
+        }
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
         self.0
             .iter()
@@ -174,6 +186,26 @@ impl Opts {
                 .map(Some),
         }
     }
+}
+
+/// The option keys `cmd`'s USAGE entry lists: every `--key` (and `-k`)
+/// on its lines, continuation lines included. `None` if USAGE has no
+/// entry for `cmd`.
+fn usage_options(cmd: &str) -> Option<Vec<&'static str>> {
+    let mut lines = USAGE.lines().skip_while(|l| !l.starts_with("commands:"));
+    let first = lines.find(|l| {
+        l.strip_prefix("  ")
+            .is_some_and(|l| l.split(' ').next() == Some(cmd))
+    })?;
+    let entry = std::iter::once(first).chain(lines.take_while(|l| l.starts_with("    ")));
+    let keys = entry
+        .flat_map(|l| l.split(|c: char| c.is_whitespace() || "[]()|".contains(c)))
+        .filter_map(|t| match t {
+            "-k" => Some("k"),
+            _ => t.strip_prefix("--"),
+        })
+        .collect();
+    Some(keys)
 }
 
 /// Open any supported graph file as a [`kpj::store::StoreBundle`]:
@@ -252,16 +284,7 @@ fn landmarks(o: &Opts) -> Result<(), String> {
     let out = o.require("out")?;
     let count: usize = o.num("count", 16)?;
     let seed: u64 = o.num("seed", 42)?;
-    // Parallel build is bit-identical to the sequential one; `--threads 0`
-    // (the default) uses every core.
-    let threads: usize = o.num("threads", 0)?;
-    let idx = kpj::core::offline::build_landmarks_parallel(
-        &g,
-        count,
-        SelectionStrategy::Farthest,
-        seed,
-        threads,
-    );
+    let idx = LandmarkIndex::build(&g, count, SelectionStrategy::Farthest, seed);
     let f = File::create(out).map_err(|e| format!("{out}: {e}"))?;
     idx.write_binary(BufWriter::new(f))
         .map_err(|e| e.to_string())?;
@@ -285,7 +308,6 @@ fn convert(o: &Opts) -> Result<(), String> {
     let input = o.require("graph")?;
     let out = o.require("out")?;
     let seed: u64 = o.num("seed", 42)?;
-    let threads: usize = o.num("threads", 0)?;
     let bundle = load_bundle(input)?;
     let (mut graph, mut landmarks, mut remap) = (bundle.graph, bundle.landmarks, bundle.remap);
     let mut reduction = bundle.reduction;
@@ -375,19 +397,12 @@ fn convert(o: &Opts) -> Result<(), String> {
         graph = r.graph;
     }
 
-    if let Some(count) = o.get("landmark-count").or(o.get("landmarks")) {
+    if let Some(count) = o.get("landmarks") {
         let count: usize = count
             .parse()
             .map_err(|_| format!("--landmarks: bad number `{count}`"))?;
-        landmarks = (count > 0).then(|| {
-            kpj::core::offline::build_landmarks_parallel(
-                &graph,
-                count,
-                SelectionStrategy::Farthest,
-                seed,
-                threads,
-            )
-        });
+        landmarks = (count > 0)
+            .then(|| LandmarkIndex::build(&graph, count, SelectionStrategy::Farthest, seed));
     }
 
     kpj::store::write_store_to_path(
@@ -774,7 +789,7 @@ fn render_status(out: &mut String, addr: &str, s: &kpj::service::json::Json, rat
     );
     let _ = writeln!(
         out,
-        "pool     workers={} busy={} queue={} (peak {}, cap {}) executed={} rejected={} par_grants={}",
+        "pool     workers={} busy={} queue={} (peak {}, cap {}) executed={} rejected={}",
         u(&["pool", "workers"]),
         u(&["pool", "busy"]),
         u(&["pool", "queue_depth"]),
@@ -782,7 +797,6 @@ fn render_status(out: &mut String, addr: &str, s: &kpj::service::json::Json, rat
         u(&["pool", "queue_capacity"]),
         u(&["pool", "executed"]),
         u(&["pool", "rejected"]),
-        u(&["pool", "par_grants"]),
     );
     let _ = writeln!(
         out,

@@ -6,13 +6,6 @@
 //! queue. This module packages that pattern as a thin veneer over the
 //! serving layer's [`EnginePool`](kpj_service::EnginePool) — the same
 //! machinery that backs `kpj-serve`, minus the cache and the wire.
-//!
-//! Since the engine also parallelizes *within* a query (deviation
-//! rounds fan out across `par_threads`, with a deterministic merge that
-//! keeps answers bit-identical to sequential),
-//! [`query_batch_budget`] exposes both axes under one combined budget:
-//! `workers × par_threads` is capped at the machine's available
-//! parallelism, so the two layers never oversubscribe each other.
 
 use std::sync::Arc;
 
@@ -47,44 +40,17 @@ pub fn query_batch(
     queries: &[BatchQuery],
     threads: usize,
 ) -> Vec<Result<KpjResult, QueryError>> {
-    query_batch_budget(graph, landmarks, alg, queries, threads, 0)
-}
-
-/// [`query_batch`] with a second, *intra-query* parallelism axis.
-///
-/// `par_threads` is the number of deviation-round threads each worker
-/// may use per query (`QueryEngine::set_par_threads`; `0` or `1` =
-/// sequential, answers are bit-identical either way). The two axes
-/// multiply, so the effective per-worker grant is capped to keep
-/// `workers × grant` within `std::thread::available_parallelism()`:
-/// a batch wide enough to occupy every core runs sequential queries,
-/// a narrow batch on a wide machine spends the idle cores inside each
-/// query.
-pub fn query_batch_budget(
-    graph: &Arc<Graph>,
-    landmarks: Option<&Arc<LandmarkIndex>>,
-    alg: Algorithm,
-    queries: &[BatchQuery],
-    threads: usize,
-    par_threads: usize,
-) -> Vec<Result<KpjResult, QueryError>> {
     if queries.is_empty() {
         return Vec::new();
     }
     let workers = kpj_service::resolve_workers(threads).min(queries.len());
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let par_eff = if par_threads <= 1 {
-        0
-    } else {
-        par_threads.min((available / workers).max(1))
-    };
     let pool = EnginePool::new(
         Arc::clone(graph),
         landmarks.map(Arc::clone),
         PoolConfig {
             workers,
             queue_capacity: queries.len(),
-            par_threads_max: par_eff,
+            ..PoolConfig::default()
         },
     );
     // Submit everything up front (the queue holds the whole batch), then
@@ -160,30 +126,11 @@ mod tests {
             k: 3,
         });
         for threads in [0, 1, 16] {
-            // The intra-query axis must not disturb results or error
-            // mapping under any degenerate combination: disabled (0),
-            // no-op (1), wider than the machine (8) — the combined
-            // budget clamps the latter rather than oversubscribing.
-            for par_threads in [0, 1, 8] {
-                let r = query_batch_budget(&g, None, Algorithm::Da, &queries, threads, par_threads);
-                assert_eq!(r.len(), queries.len());
-                assert!(r[..5].iter().all(Result::is_ok));
-                assert!(matches!(r[5], Err(QueryError::NoSources)));
-                assert!(matches!(r[6], Err(QueryError::SourceOutOfRange(_))));
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_parallel_matches_sequential() {
-        let g = Arc::new(datasets::SJ.generate(0.05));
-        let queries = batch(12, g.node_count() as u32);
-        // One worker leaves the whole machine's budget to the
-        // intra-query axis; answers must still be bit-identical.
-        let par = query_batch_budget(&g, None, Algorithm::DaSptPascoal, &queries, 1, 4);
-        let seq = query_batch(&g, None, Algorithm::DaSptPascoal, &queries, 1);
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.as_ref().unwrap().paths, s.as_ref().unwrap().paths);
+            let r = query_batch(&g, None, Algorithm::Da, &queries, threads);
+            assert_eq!(r.len(), queries.len());
+            assert!(r[..5].iter().all(Result::is_ok));
+            assert!(matches!(r[5], Err(QueryError::NoSources)));
+            assert!(matches!(r[6], Err(QueryError::SourceOutOfRange(_))));
         }
     }
 

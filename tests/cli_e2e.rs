@@ -247,3 +247,59 @@ fn helpful_errors() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unknown_options_are_rejected() {
+    let dir = tmpdir("options");
+    let graph = dir.join("g.kpj");
+    let lm = dir.join("g.lm");
+    let out = cli()
+        .args(["generate", "--nodes", "60", "--arcs", "200", "--out"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    // `--threads` is not a landmarks option, and a misspelt `--count`
+    // must not fall back to the default count.
+    for (bad, value) in [("--threads", "2"), ("--cuont", "8")] {
+        let out = cli()
+            .args(["landmarks", "--graph"])
+            .arg(&graph)
+            .arg("--out")
+            .arg(&lm)
+            .args([bad, value])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{bad} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {bad} for landmarks")),
+            "{stderr}"
+        );
+        assert!(!lm.exists(), "{bad}: the command ran anyway");
+    }
+
+    // Options are checked per command: `--count` belongs to landmarks,
+    // not to query, and `-k` is the key `k`.
+    let out = cli()
+        .args(["query", "--source", "0", "--targets", "3", "--count", "4"])
+        .arg("--graph")
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --count for query"));
+    let out = cli()
+        .args(["query", "--source", "0", "--targets", "3", "-k", "2"])
+        .arg("--graph")
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
