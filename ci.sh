@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Local CI gate — the same checks .github/workflows/ci.yml runs.
+# The CI gate: .github/workflows/ci.yml runs exactly this script, so a
+# local run and a hosted run check the same things.
 # Usage: ./ci.sh
 set -eu
 
@@ -51,7 +52,7 @@ trap 'if [ -n "$SCALE_SERVE_PID" ]; then kill "$SCALE_SERVE_PID" 2>/dev/null || 
 # the re-expanded k=20 answer is byte-identical to the unreduced one.
 echo "==> reduction scale smoke (convert --reduce --reorder -> cold mmap -> k=20 diff)"
 ./target/release/kpj-cli convert --graph "$SCALE_DIR/huge.kpj2" \
-  --out "$SCALE_DIR/huge-red.kpj2" --to-v2 --reorder --reduce \
+  --out "$SCALE_DIR/huge-red.kpj2" --reorder --reduce \
   --keep "17,$((SCALE_NODES / 2 - 21)),$((SCALE_NODES - 17))"
 ./target/release/kpj-cli info --graph "$SCALE_DIR/huge-red.kpj2"
 ./target/release/kpj-cli query --graph "$SCALE_DIR/huge-red.kpj2" \

@@ -310,14 +310,11 @@ fn k_sweep_axis(g: &Graph, lm: &LandmarkIndex, w: &Workload) -> Vec<KSweepCell> 
     cells
 }
 
-/// Storage-subsystem axis: cold-load time of the two on-disk formats and
-/// the steady-state effect of the BFS locality reorder.
+/// Storage-subsystem axis: cold-load time of the v2 file and the
+/// steady-state effect of the BFS locality reorder.
 struct StorageMeasurement {
-    /// v1 heap parse (offsets + edges read, reverse CSR rebuilt).
-    cold_load_ms_v1: f64,
     /// v2 zero-copy mmap open (header/table checksum only).
     cold_load_ms_v2_mmap: f64,
-    v1_bytes: u64,
     v2_bytes: u64,
     /// ms/query on the graph as generated vs BFS-reordered, same
     /// workload (ids translated), landmark tables remapped.
@@ -325,33 +322,18 @@ struct StorageMeasurement {
     reordered_ms_per_query: f64,
 }
 
-/// Cold-load: write the road graph in both formats, then time
-/// `read_binary` (v1: full parse onto the heap, reverse CSR rebuilt)
-/// against `open_v2` (mmap + header checksum, CSR sections zero-copy).
+/// Cold-load: write the road graph as v2, then time `open_v2` (mmap +
+/// header checksum, CSR sections zero-copy).
 /// Reorder: run the same warmed batch on the original and the
 /// BFS-reordered graph — the answer is invariant, the cache locality is
 /// not.
 fn storage_axis(g: &Graph, lm: &LandmarkIndex, w: &Workload) -> StorageMeasurement {
     let dir = std::env::temp_dir().join(format!("bench-kpj-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench scratch dir");
-    let v1_path = dir.join("bench.kpj");
     let v2_path = dir.join("bench.kpj2");
-    {
-        let f = std::fs::File::create(&v1_path).expect("create v1");
-        kpj_graph::io::write_binary(g, std::io::BufWriter::new(f)).expect("write v1");
-    }
     kpj_store::write_store_to_path(&v2_path, g, None, Some(lm), None, None).expect("write v2");
-    let v1_bytes = std::fs::metadata(&v1_path).map_or(0, |m| m.len());
     let v2_bytes = std::fs::metadata(&v2_path).map_or(0, |m| m.len());
 
-    let mut v1_times = [0.0; RUNS];
-    for t in &mut v1_times {
-        let t0 = Instant::now();
-        let f = std::fs::File::open(&v1_path).expect("open v1");
-        let g1 = kpj_graph::io::read_binary(std::io::BufReader::new(f)).expect("read v1");
-        *t = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(g1.node_count(), g.node_count());
-    }
     let mut v2_times = [0.0; RUNS];
     for t in &mut v2_times {
         let t0 = Instant::now();
@@ -384,13 +366,10 @@ fn storage_axis(g: &Graph, lm: &LandmarkIndex, w: &Workload) -> StorageMeasureme
     run_batch(&mut rengine, alg, &rs, &rt, K);
     let (reordered_ms, _) = median_ms(&mut rengine, alg, &rs, &rt, K);
 
-    std::fs::remove_file(&v1_path).ok();
     std::fs::remove_file(&v2_path).ok();
     std::fs::remove_dir(&dir).ok();
     StorageMeasurement {
-        cold_load_ms_v1: median(&mut v1_times),
         cold_load_ms_v2_mmap: median(&mut v2_times),
-        v1_bytes,
         v2_bytes,
         original_ms_per_query: original_ms,
         reordered_ms_per_query: reordered_ms,
@@ -699,12 +678,12 @@ fn main() {
     eprintln!("==> k sweep, social (k in {K_SWEEP:?})");
     let social_ksweep = k_sweep_axis(&social_graph, &social_lm, &social);
 
-    // Storage axis: cold-load of both formats + the locality reorder.
-    eprintln!("==> storage (cold load v1 vs v2-mmap, BFS reorder), road");
+    // Storage axis: v2 cold load + the locality reorder.
+    eprintln!("==> storage (v2-mmap cold load, BFS reorder), road");
     let storage = storage_axis(&cal.graph, &cal.landmarks, &road);
     eprintln!(
-        "  cold load: v1 {:.3} ms ({} B)  v2-mmap {:.3} ms ({} B)",
-        storage.cold_load_ms_v1, storage.v1_bytes, storage.cold_load_ms_v2_mmap, storage.v2_bytes,
+        "  cold load: v2-mmap {:.3} ms ({} B)",
+        storage.cold_load_ms_v2_mmap, storage.v2_bytes,
     );
     eprintln!(
         "  reorder: original {:.3} ms/query  reordered {:.3} ms/query",
@@ -828,10 +807,8 @@ fn main() {
     json.push_str("\n  },\n");
     let _ = write!(
         json,
-        "  \"storage\": {{\n    \"cold_load_ms_v1\": {:.4},\n    \"cold_load_ms_v2_mmap\": {:.4},\n    \"v1_bytes\": {},\n    \"v2_bytes\": {},\n    \"reorder\": {{\"algorithm\": \"{}\", \"original_ms_per_query\": {:.4}, \"reordered_ms_per_query\": {:.4}}}\n  }},\n",
-        storage.cold_load_ms_v1,
+        "  \"storage\": {{\n    \"cold_load_ms_v2_mmap\": {:.4},\n    \"v2_bytes\": {},\n    \"reorder\": {{\"algorithm\": \"{}\", \"original_ms_per_query\": {:.4}, \"reordered_ms_per_query\": {:.4}}}\n  }},\n",
         storage.cold_load_ms_v2_mmap,
-        storage.v1_bytes,
         storage.v2_bytes,
         Algorithm::IterBoundI.name(),
         storage.original_ms_per_query,

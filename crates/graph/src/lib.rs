@@ -26,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-mod binary;
 mod builder;
 mod categories;
 mod csr;

@@ -27,14 +27,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod persist;
 mod repair;
 mod target_row;
 
 pub use repair::RepairStats;
 pub use target_row::TargetRow;
-
-pub use persist::PersistError;
 
 use kpj_graph::{Graph, GraphError, Length, NodeId, SectionBuf, INFINITE_LENGTH};
 use kpj_sp::DenseDijkstra;
@@ -180,7 +177,7 @@ impl LandmarkIndex {
         lb
     }
 
-    /// Reassemble an index from raw parts (used by deserialization).
+    /// Reassemble an index from freshly computed raw parts.
     pub(crate) fn from_parts(
         landmarks: Vec<NodeId>,
         tables: Vec<Length>,

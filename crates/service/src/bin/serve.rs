@@ -2,13 +2,12 @@
 //!
 //! Two graph sources:
 //!
-//! * `--graph-bin FILE` — a binary graph file. A v2 file is mmapped and
-//!   served **zero-copy**: the CSR sections (forward *and* reverse), the
+//! * `--graph-bin FILE` — a v2 graph file, mmapped and served
+//!   **zero-copy**: the CSR sections (forward *and* reverse), the
 //!   landmark tables and the reorder permutation stay in the page cache,
-//!   so cold start is `O(1)` parse work regardless of graph size. A v1
-//!   file is loaded onto the heap. If the file records a locality
-//!   reorder, clients keep speaking original node ids — the service
-//!   translates at the wire boundary.
+//!   so cold start is `O(1)` parse work regardless of graph size. If the
+//!   file records a locality reorder, clients keep speaking original node
+//!   ids — the service translates at the wire boundary.
 //! * otherwise a deterministic synthetic road network (`kpj-workload`),
 //!   so a client that knows `(nodes, arcs, seed)` can regenerate it and
 //!   pick meaningful endpoints — `kpj-loadgen` does exactly that.
@@ -36,8 +35,8 @@ USAGE:
 
 OPTIONS:
     --addr <ADDR>        listen address          [default: 127.0.0.1:7878]
-    --graph-bin <FILE>   serve this graph file (v2 = zero-copy mmap,
-                         embedded landmarks/reorder are used; v1 = heap)
+    --graph-bin <FILE>   serve this v2 graph file (zero-copy mmap,
+                         embedded landmarks/reorder are used)
     --nodes <N>          road-network nodes      [default: 5000]
     --arcs <M>           road-network arcs       [default: 12000]
     --seed <S>           road-network seed       [default: 7]
@@ -131,13 +130,13 @@ type GraphParts = (
     Option<Arc<LandmarkIndex>>,
     Option<NodeRemap>,
     Option<Reduction>,
-    // Bytes of the graph file held by mmap (0 when heap-loaded) — feeds
+    // Bytes of the graph file held by mmap (0 when generated) — feeds
     // the `mmap_bytes` gauge.
     u64,
 );
 
-/// Open `--graph-bin` (v2 = zero-copy mmap with embedded sidecars, v1 =
-/// heap) or fall back to generating the synthetic road network.
+/// Open `--graph-bin` (v2, zero-copy mmap with embedded sidecars) or fall
+/// back to generating the synthetic road network.
 fn load_graph(opts: &Opts) -> Result<GraphParts, String> {
     let Some(path) = &opts.graph_bin else {
         eprintln!(
@@ -148,18 +147,13 @@ fn load_graph(opts: &Opts) -> Result<GraphParts, String> {
         return Ok((graph, None, None, None, 0));
     };
     let started = Instant::now();
-    let bundle = kpj_store::open_any(std::path::Path::new(path))
+    let bundle = kpj_store::open_v2(std::path::Path::new(path))
         .map_err(|e| format!("cannot open {path}: {e}"))?;
     eprintln!(
-        "loaded {path}: {} nodes, {} arcs in {:.2} ms ({}{}{}{})",
+        "loaded {path}: {} nodes, {} arcs in {:.2} ms (zero-copy mmap{}{}{})",
         bundle.graph.node_count(),
         bundle.graph.edge_count(),
         started.elapsed().as_secs_f64() * 1e3,
-        if bundle.is_mapped() {
-            "zero-copy mmap"
-        } else {
-            "heap"
-        },
         if bundle.landmarks.is_some() {
             ", embedded landmarks"
         } else {
@@ -176,11 +170,7 @@ fn load_graph(opts: &Opts) -> Result<GraphParts, String> {
             ""
         },
     );
-    let mmap_bytes = if bundle.is_mapped() {
-        std::fs::metadata(path).map_or(0, |m| m.len())
-    } else {
-        0
-    };
+    let mmap_bytes = std::fs::metadata(path).map_or(0, |m| m.len());
     Ok((
         Arc::new(bundle.graph),
         bundle.landmarks.map(Arc::new),

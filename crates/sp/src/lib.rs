@@ -1,6 +1,6 @@
 //! Shortest-path algorithms for the `kpj` workspace.
 //!
-//! Three layers:
+//! Three pieces:
 //!
 //! * [`DenseDijkstra`] — whole-graph (multi-source) Dijkstra producing dense
 //!   distance/parent arrays. Used offline (landmark tables), per query for
@@ -12,8 +12,6 @@
 //!   `CompSP` (A\* in a subspace), `TestLB` (Alg. 5, with threshold τ),
 //!   candidate-path computations of the deviation baselines, and
 //!   `PartialSPT`'s initial A\*.
-//! * [`BidirectionalDijkstra`] — point-to-point distance/path queries
-//!   (test oracle and tooling; the KPJ algorithms are one-to-category).
 //! * [`Direction`] — forward/backward edge selection so every search can run
 //!   on the reverse graph without materializing it.
 //!
@@ -22,11 +20,9 @@
 
 #![warn(missing_docs)]
 
-mod bidirectional;
 mod dense;
 mod searcher;
 
-pub use bidirectional::{BidirectionalDijkstra, PointToPoint};
 pub use dense::{DenseDijkstra, NO_PARENT};
 pub use searcher::{Estimate, SearchOrder, SearchOutcome, Searcher, CANCEL_POLL_STRIDE};
 

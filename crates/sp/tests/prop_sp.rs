@@ -4,9 +4,7 @@
 //! half of the paper's Lemma 5.1) is verified directly.
 
 use kpj_graph::{Graph, GraphBuilder, Length, NodeId, INFINITE_LENGTH};
-use kpj_sp::{
-    BidirectionalDijkstra, DenseDijkstra, Direction, Estimate, SearchOutcome, Searcher, NO_PARENT,
-};
+use kpj_sp::{DenseDijkstra, Direction, Estimate, SearchOutcome, Searcher, NO_PARENT};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -126,29 +124,6 @@ proptest! {
             match out {
                 SearchOutcome::Found { dist, .. } => prop_assert_eq!(dist, dense.dist(goal)),
                 _ => prop_assert!(!dense.reached(goal)),
-            }
-        }
-    }
-
-    /// Bidirectional point-to-point equals unidirectional everywhere.
-    #[test]
-    fn bidirectional_matches_dense(s in spec(), src in 0..25u32) {
-        let g = build(&s);
-        let src = src % s.n;
-        let dense = DenseDijkstra::from_source(&g, src);
-        let mut bd = BidirectionalDijkstra::new(g.node_count());
-        for t in g.nodes() {
-            match bd.query(&g, src, t) {
-                Some(p) => {
-                    prop_assert_eq!(p.distance, dense.dist(t));
-                    let len: Length = p
-                        .nodes
-                        .windows(2)
-                        .map(|w| g.edge_weight(w[0], w[1]).unwrap() as Length)
-                        .sum();
-                    prop_assert_eq!(len, p.distance);
-                }
-                None => prop_assert!(!dense.reached(t)),
             }
         }
     }

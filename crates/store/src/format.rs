@@ -32,7 +32,8 @@ use std::fmt;
 
 use kpj_graph::GraphError;
 
-/// File magic, shared with the v1 format.
+/// File magic. Version-1 files carry it too; they fail with
+/// `UnsupportedVersion(1)`, not `BadMagic`.
 pub const MAGIC: &[u8; 8] = b"KPJGRAPH";
 /// Version written by this crate.
 pub const VERSION: u32 = 2;
@@ -47,7 +48,7 @@ pub const SECTION_ALIGN: u64 = 64;
 pub const FLAG_SYMMETRIC: u32 = 1;
 
 /// Section ids. Unknown ids are skipped on read (forward compatibility).
-pub mod section_id {
+pub(crate) mod section_id {
     /// Forward CSR offsets: `(n+1) × u32`.
     pub const OUT_OFFSETS: u32 = 1;
     /// Forward CSR edges: `m × {to u32, weight u32}`.
@@ -124,7 +125,7 @@ impl Default for Fnv64 {
 
 /// One entry of the section table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionEntry {
+pub(crate) struct SectionEntry {
     /// Section id (see [`section_id`]).
     pub id: u32,
     /// Absolute file offset of the payload (64-byte-aligned).
@@ -138,7 +139,7 @@ pub struct SectionEntry {
 pub enum StoreError {
     /// The file does not start with the KPJGRAPH magic.
     BadMagic,
-    /// The version field is neither 1 nor 2.
+    /// The version field is not 2, the only version this crate reads.
     UnsupportedVersion(u32),
     /// The file is shorter than a declared structure requires.
     Truncated {

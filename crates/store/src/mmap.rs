@@ -20,7 +20,7 @@ use std::io;
 
 /// A read-only view of an entire file.
 #[derive(Debug)]
-pub struct Mmap {
+pub(crate) struct Mmap {
     inner: Backing,
 }
 
@@ -128,19 +128,10 @@ impl Mmap {
         }
     }
 
-    /// Length of the mapping in bytes.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// True for a zero-length file.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// True when backed by a real kernel mapping (false for the portable
     /// heap fallback and empty files).
-    pub fn is_kernel_mapping(&self) -> bool {
+    #[cfg(test)]
+    fn is_kernel_mapping(&self) -> bool {
         match &self.inner {
             #[cfg(unix)]
             Backing::Mapped { .. } => true,
@@ -177,7 +168,6 @@ mod tests {
         let f = File::open(&path).unwrap();
         let m = Mmap::map(&f).unwrap();
         assert_eq!(m.as_slice(), b"hello mapping");
-        assert_eq!(m.len(), 13);
         #[cfg(unix)]
         assert!(m.is_kernel_mapping());
         drop(m);
@@ -191,7 +181,7 @@ mod tests {
         File::create(&path).unwrap();
         let f = File::open(&path).unwrap();
         let m = Mmap::map(&f).unwrap();
-        assert!(m.is_empty());
+        assert!(m.as_slice().is_empty());
         assert!(!m.is_kernel_mapping());
         drop(m);
         std::fs::remove_file(&path).unwrap();

@@ -1,4 +1,4 @@
-//! Zero-copy v2 reader (plus the v1 heap fallback).
+//! Zero-copy v2 reader.
 //!
 //! `open_v2` maps the file, verifies the meta checksum and section
 //! geometry, and reinterprets the CSR sections in place — the only heap
@@ -21,7 +21,7 @@ use crate::format::{
 };
 use crate::mmap::Mmap;
 
-/// Everything a v2 file (or a v1 fallback load) provides.
+/// Everything a v2 file (or a heap-loaded DIMACS graph) provides.
 #[derive(Debug)]
 pub struct StoreBundle {
     /// The graph, CSR sections borrowed from the mapping when possible.
@@ -43,7 +43,7 @@ pub struct StoreBundle {
 
 impl StoreBundle {
     /// True when the CSR sections are views into a file mapping rather
-    /// than heap copies (always true for `open_v2`, false for v1 loads).
+    /// than heap copies (always true for `open_v2`, false for heap graphs).
     pub fn is_mapped(&self) -> bool {
         self.backing.is_some()
     }
@@ -51,8 +51,8 @@ impl StoreBundle {
     /// Recompute the bulk payload checksum and compare to the stored one.
     ///
     /// Touches every payload byte — intended for `kpj-cli info`/`convert`
-    /// style tooling, not the serve cold path. A v1 load (no checksum in
-    /// the format) trivially passes.
+    /// style tooling, not the serve cold path. A heap graph (no file, no
+    /// checksum) trivially passes.
     pub fn verify_data(&self) -> Result<(), StoreError> {
         let Some(backing) = &self.backing else {
             return Ok(());
@@ -73,7 +73,7 @@ impl StoreBundle {
         Ok(())
     }
 
-    /// Wrap a heap-built graph (v1 load or in-memory generation).
+    /// Wrap a heap-built graph (DIMACS `.gr` load or in-memory generation).
     pub fn from_heap_graph(graph: Graph) -> Self {
         StoreBundle {
             graph,
@@ -372,30 +372,4 @@ pub fn open_v2(path: &Path) -> Result<StoreBundle, StoreError> {
         data_checksum,
         payload_ranges,
     })
-}
-
-/// Open either format: sniffs the version field, mmaps v2 zero-copy,
-/// heap-loads v1 through [`kpj_graph::io::read_binary`].
-pub fn open_any(path: &Path) -> Result<StoreBundle, StoreError> {
-    use std::io::Read;
-    let mut head = [0u8; 12];
-    let mut f = File::open(path)?;
-    let got = f.read(&mut head)?;
-    if got < 12 {
-        return Err(StoreError::Truncated {
-            need: 12,
-            have: got as u64,
-        });
-    }
-    if &head[0..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    match u32::from_le_bytes(head[8..12].try_into().unwrap()) {
-        1 => {
-            let graph = kpj_graph::io::read_binary(File::open(path)?)?;
-            Ok(StoreBundle::from_heap_graph(graph))
-        }
-        2 => open_v2(path),
-        v => Err(StoreError::UnsupportedVersion(v)),
-    }
 }

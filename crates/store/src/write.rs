@@ -31,7 +31,7 @@ fn count_u32(what: &'static str, count: u64) -> Result<u32, StoreError> {
 /// Low-level section-at-a-time writer. Declared sections must be written
 /// in table order with exactly the declared byte counts; `finish` patches
 /// the data checksum and verifies the bookkeeping.
-pub struct V2Writer<W: Write + Seek> {
+pub(crate) struct V2Writer<W: Write + Seek> {
     w: BufWriter<W>,
     pos: u64,
     data_fnv: Fnv64,

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use kpj_graph::{CategoryIndex, Graph, GraphBuilder, NodeRemap};
 use kpj_landmark::{LandmarkIndex, SelectionStrategy};
 use kpj_sp::DenseDijkstra;
-use kpj_store::{open_any, open_v2, reorder, write_store, StoreError, StreamWriter};
+use kpj_store::{open_v2, reorder, write_store, StoreError, StreamWriter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -146,50 +146,6 @@ fn empty_and_tiny_graphs_roundtrip() {
     }
 }
 
-#[test]
-fn open_any_reads_v1_and_v2() {
-    let g = random_graph(60, 200, 1);
-    let v1 = tmp_path("anyv1");
-    let f = std::fs::File::create(&v1).unwrap();
-    kpj_graph::io::write_binary(&g, f).unwrap();
-    let b1 = open_any(&v1).unwrap();
-    assert!(!b1.is_mapped());
-    // v1 rebuilds the reverse CSR from scratch, which can order a node's
-    // in-adjacency differently; compare out-adjacency exactly and
-    // in-adjacency as a multiset.
-    assert_eq!(g.node_count(), b1.graph.node_count());
-    for u in g.nodes() {
-        assert_eq!(g.out_edges(u), b1.graph.out_edges(u));
-        let mut a: Vec<_> = g.in_edges(u).to_vec();
-        let mut b: Vec<_> = b1.graph.in_edges(u).to_vec();
-        a.sort_unstable_by_key(|e| (e.to, e.weight));
-        b.sort_unstable_by_key(|e| (e.to, e.weight));
-        assert_eq!(a, b, "in adjacency multiset of {u}");
-    }
-
-    let v2 = tmp_path("anyv2");
-    write_to_file(&v2, &g, None, None, None);
-    let b2 = open_any(&v2).unwrap();
-    assert!(b2.is_mapped());
-    assert_same_adjacency(&g, &b2.graph);
-
-    std::fs::remove_file(&v1).unwrap();
-    std::fs::remove_file(&v2).unwrap();
-}
-
-#[test]
-fn v1_reader_rejects_v2_with_guidance() {
-    let g = random_graph(20, 40, 2);
-    let path = tmp_path("v1guard");
-    write_to_file(&path, &g, None, None, None);
-    let err = kpj_graph::io::read_binary(std::fs::File::open(&path).unwrap()).unwrap_err();
-    assert!(
-        err.to_string().contains("kpj-store"),
-        "v1 reader should point at the v2 loader: {err}"
-    );
-    std::fs::remove_file(&path).unwrap();
-}
-
 fn v2_bytes(g: &Graph) -> Vec<u8> {
     let mut buf = Cursor::new(Vec::new());
     write_store(&mut buf, g, None, None, None, None).unwrap();
@@ -224,13 +180,17 @@ fn corrupt_files_are_rejected_precisely() {
     b[0] ^= 0xFF;
     assert!(matches!(open_bytes(&b, "magic"), Err(StoreError::BadMagic)));
 
-    // Unsupported version.
-    let mut b = bytes.clone();
-    b[8] = 99;
-    assert!(matches!(
-        open_bytes(&b, "ver"),
-        Err(StoreError::UnsupportedVersion(99))
-    ));
+    // Unsupported version: an unknown one, and version 1 (same magic),
+    // which this crate does not read.
+    for v in [99u8, 1] {
+        let mut b = bytes.clone();
+        b[8] = v;
+        let r = open_bytes(&b, &format!("ver{v}"));
+        assert!(
+            matches!(r, Err(StoreError::UnsupportedVersion(got)) if got == u32::from(v)),
+            "version {v}: {r:?}"
+        );
+    }
 
     // Corrupt header (n) → meta checksum catches it.
     let mut b = bytes.clone();

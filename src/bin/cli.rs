@@ -1,15 +1,15 @@
 //! `kpj-cli` — run KPJ/KSP/GKPJ queries from the command line.
 //!
 //! ```sh
-//! # Generate a synthetic road network (binary graph file) + categories:
+//! # Generate a synthetic road network (v2 graph file) + categories:
 //! kpj-cli generate --dataset SJ --scale 0.2 --out sj.kpj
 //! kpj-cli pois --graph sj.kpj --kind nested --out sj.cats
 //!
-//! # Build and persist a landmark index:
-//! kpj-cli landmarks --graph sj.kpj --count 16 --out sj.lm
+//! # Embed a 16-landmark index (the offline phase) in a new v2 file:
+//! kpj-cli convert --graph sj.kpj --out sj-lm.kpj --landmarks 16
 //!
 //! # Query: top-20 shortest paths from node 17 to category T2:
-//! kpj-cli query --graph sj.kpj --landmarks sj.lm --categories sj.cats \
+//! kpj-cli query --graph sj-lm.kpj --categories sj.cats \
 //!               --source 17 --category T2 -k 20 --algorithm iterboundi
 //!
 //! # Or with explicit target nodes, any algorithm, GKPJ sources:
@@ -19,9 +19,9 @@
 //! kpj-cli info --graph sj.kpj
 //! ```
 //!
-//! Graph files use the compact binary format of `kpj_graph::io`; category
-//! files use the text format (`<name> <node>…` per line). DIMACS `.gr`
-//! files are auto-detected by extension.
+//! Graph files are page-aligned v2 files (`kpj_store`), or DIMACS `.gr`
+//! text detected by extension; category files use the text format
+//! (`<name> <node>…` per line).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -36,7 +36,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(rest).and_then(|o| o.check(cmd)) {
+    let opts = match Opts::parse(cmd, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -46,7 +46,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "generate" => generate(&opts),
         "pois" => pois(&opts),
-        "landmarks" => landmarks(&opts),
         "convert" => convert(&opts),
         "query" => query(&opts),
         "update" => update(&opts),
@@ -73,8 +72,7 @@ kpj-cli — top-k shortest path join queries
 commands:
   generate  --out FILE (--dataset NAME --scale S | --nodes N --arcs M) [--seed S]
   pois      --graph FILE --out FILE [--kind nested|cal] [--seed S]
-  landmarks --graph FILE --out FILE [--count N] [--seed S]
-  convert   --graph FILE --out FILE --to-v2 [--reduce [--keep a,b,c]]
+  convert   --graph FILE --out FILE [--reduce [--keep a,b,c]]
             [--reorder] [--landmarks N] [--categories FILE] [--seed S]
             (write the page-aligned v2 format: zero-copy mmap on load,
              optional graph reduction — degree-2 chain contraction plus
@@ -82,7 +80,7 @@ commands:
              optional BFS locality reorder, embedded landmark tables)
   query     --graph FILE (--targets a,b,c | --categories FILE --category NAME)
             (--source N | --sources a,b) [-k N] [--algorithm NAME]
-            [--landmarks FILE] [--alpha F] [--timeout-ms MS] [--stats]
+            [--alpha F] [--timeout-ms MS] [--stats]
             [--metrics]   (print the per-stage registry, Prometheus text)
   update    --edge U,V,W [--edge U,V,W]… | --file FILE   [--addr HOST:PORT]
             (re-weight edges on a running kpj-serve; every parallel copy
@@ -95,10 +93,11 @@ commands:
              prints a single snapshot and exits — CI-friendly)
   info      --graph FILE
 
-Graph files: v1 and v2 binary formats and DIMACS `.gr` are auto-detected.
-A v2 file opens zero-copy (mmap); its embedded landmarks are used unless
---landmarks overrides, and node ids on the command line are always
-*original* ids even when the file is locality-reordered or reduced
+Graph files: v2 files (written by generate and convert) open zero-copy
+(mmap); DIMACS `.gr` files, detected by extension, load onto the heap.
+A v2 file's embedded landmarks are used by query, and node ids on the
+command line are always *original* ids even when the file is
+locality-reordered or reduced
 (reduced files re-expand every answer path to original ids; querying a
 contracted node is an error — rebuild with --keep to retain it).
 
@@ -109,7 +108,13 @@ algorithms: da, da-spt, da-pascoal, bestfirst, iterbound, iterboundp,
 struct Opts(Vec<(String, String)>);
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parse `cmd`'s options, rejecting any key that its USAGE entry does
+    /// not list (`-k` is the key `k`) before reading a value for it, so a
+    /// misspelt option fails by name instead of being ignored or
+    /// swallowing the next argument. Unknown commands pass through to
+    /// the dispatcher's own error.
+    fn parse(cmd: &str, args: &[String]) -> Result<Opts, String> {
+        let allowed = usage_options(cmd);
         let mut out = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -117,10 +122,10 @@ impl Opts {
                 .strip_prefix("--")
                 .or_else(|| a.strip_prefix('-'))
                 .ok_or_else(|| format!("expected an option, got `{a}`"))?;
-            let flag_only = matches!(
-                key,
-                "stats" | "metrics" | "to-v2" | "reorder" | "reduce" | "once"
-            );
+            if allowed.as_ref().is_some_and(|keys| !keys.contains(&key)) {
+                return Err(format!("unknown option --{key} for {cmd}"));
+            }
+            let flag_only = matches!(key, "stats" | "metrics" | "reorder" | "reduce" | "once");
             let value = if flag_only {
                 "true".to_string()
             } else {
@@ -131,19 +136,6 @@ impl Opts {
             out.push((key.to_string(), value));
         }
         Ok(Opts(out))
-    }
-
-    /// Reject any key that `cmd`'s USAGE entry does not list (`-k` is
-    /// the key `k`), so a misspelt option fails instead of being ignored.
-    /// Unknown commands pass through to the dispatcher's own error.
-    fn check(self, cmd: &str) -> Result<Opts, String> {
-        let Some(allowed) = usage_options(cmd) else {
-            return Ok(self);
-        };
-        match self.0.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
-            Some((key, _)) => Err(format!("unknown option --{key} for {cmd}")),
-            None => Ok(self),
-        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -208,10 +200,10 @@ fn usage_options(cmd: &str) -> Option<Vec<&'static str>> {
     Some(keys)
 }
 
-/// Open any supported graph file as a [`kpj::store::StoreBundle`]:
-/// DIMACS `.gr` and v1 binaries land on the heap, v2 binaries are
-/// mmapped zero-copy together with their embedded sidecars (categories,
-/// landmark tables, reorder permutation).
+/// Open a graph file as a [`kpj::store::StoreBundle`]: DIMACS `.gr`
+/// lands on the heap, anything else is opened as v2 and mmapped
+/// zero-copy together with its embedded sidecars (categories, landmark
+/// tables, reorder permutation, reduction).
 fn load_bundle(path: &str) -> Result<kpj::store::StoreBundle, String> {
     if path.ends_with(".gr") {
         let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -219,7 +211,7 @@ fn load_bundle(path: &str) -> Result<kpj::store::StoreBundle, String> {
             .map_err(|e| format!("{path}: {e}"))?;
         return Ok(kpj::store::StoreBundle::from_heap_graph(g));
     }
-    kpj::store::open_any(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))
+    kpj::store::open_v2(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))
 }
 
 fn load_graph(path: &str) -> Result<Graph, String> {
@@ -248,8 +240,8 @@ fn generate(o: &Opts) -> Result<(), String> {
         }
         .generate()
     };
-    let f = File::create(out).map_err(|e| format!("{out}: {e}"))?;
-    kpj::graph::io::write_binary(&g, BufWriter::new(f)).map_err(|e| e.to_string())?;
+    kpj::store::write_store_to_path(std::path::Path::new(out), &g, None, None, None, None)
+        .map_err(|e| format!("{out}: {e}"))?;
     println!(
         "wrote {} ({} nodes, {} arcs)",
         out,
@@ -279,32 +271,11 @@ fn pois(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn landmarks(o: &Opts) -> Result<(), String> {
-    let g = load_graph(o.require("graph")?)?;
-    let out = o.require("out")?;
-    let count: usize = o.num("count", 16)?;
-    let seed: u64 = o.num("seed", 42)?;
-    let idx = LandmarkIndex::build(&g, count, SelectionStrategy::Farthest, seed);
-    let f = File::create(out).map_err(|e| format!("{out}: {e}"))?;
-    idx.write_binary(BufWriter::new(f))
-        .map_err(|e| e.to_string())?;
-    println!(
-        "wrote {} ({} landmarks over {} nodes)",
-        out,
-        idx.len(),
-        idx.node_count()
-    );
-    Ok(())
-}
-
-/// `convert --to-v2`: rewrite any supported graph file into the
-/// page-aligned v2 format, optionally BFS-reordering for cache locality
-/// and embedding landmark tables, so `kpj-serve --graph-bin` cold-starts
-/// zero-copy from mmap.
+/// `convert`: rewrite a graph file into a new v2 file, optionally
+/// reducing it, BFS-reordering it for cache locality and embedding
+/// landmark tables, so `kpj-serve --graph-bin` cold-starts zero-copy from
+/// mmap.
 fn convert(o: &Opts) -> Result<(), String> {
-    if o.get("to-v2").is_none() {
-        return Err("convert: only --to-v2 is supported".into());
-    }
     let input = o.require("graph")?;
     let out = o.require("out")?;
     let seed: u64 = o.num("seed", 42)?;
@@ -437,8 +408,8 @@ fn query(o: &Opts) -> Result<(), String> {
     let bundle = load_bundle(o.require("graph")?)?;
     let g = bundle.graph;
 
-    // Reordered or reduced v2 files: the command line (and any sidecar
-    // files) speak *original* ids; translate to the file's internal ids
+    // Reordered or reduced v2 files: the command line (and any category
+    // file) speak *original* ids; translate to the file's internal ids
     // below. Reordered answers are translated back when printing; reduced
     // answers are re-expanded to original ids by the engine itself.
     let translation = if let Some(red) = bundle.reduction {
@@ -484,37 +455,14 @@ fn query(o: &Opts) -> Result<(), String> {
     let k: usize = o.num("k", 20)?;
     let alg: Algorithm = o.get("algorithm").unwrap_or("iterboundi").parse()?;
 
-    let lm = match o.get("landmarks") {
-        // A v2 file's embedded landmark tables (already in internal ids)
-        // are used automatically.
-        None => bundle.landmarks,
-        Some(path) => {
-            if translation.reduction().is_some() {
-                return Err(
-                    "a sidecar --landmarks file speaks original ids and cannot align \
-                     with a reduced graph; embed tables at convert time instead \
-                     (convert --reduce --landmarks N)"
-                        .into(),
-                );
-            }
-            let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            let idx = LandmarkIndex::read_binary(BufReader::new(f)).map_err(|e| e.to_string())?;
-            // A sidecar index is in original ids; align it with the graph.
-            Some(match translation.output_remap() {
-                Some(r) => kpj::store::remap_landmarks(&idx, r),
-                None => idx,
-            })
-        }
-    };
-
+    // A v2 file's embedded landmark tables are already in internal ids
+    // and sized to the graph (`open_v2` checks the table length).
+    let lm = bundle.landmarks;
     let mut engine = QueryEngine::new(&g);
     if let Some(red) = translation.reduction() {
         engine = engine.with_reduction(red);
     }
     if let Some(idx) = &lm {
-        if idx.node_count() != g.node_count() {
-            return Err("landmark index does not match the graph".into());
-        }
         engine = engine.with_landmarks(idx);
     }
     if let Some(a) = o.get("alpha") {
@@ -909,7 +857,7 @@ fn info(o: &Opts) -> Result<(), String> {
             },
         );
     } else {
-        println!("format: v1/heap");
+        println!("format: DIMACS .gr (heap)");
     }
     if let Some(red) = &bundle.reduction {
         println!(

@@ -19,7 +19,7 @@ fn full_pipeline_generate_pois_landmarks_query_info() {
     let dir = tmpdir("pipeline");
     let graph = dir.join("g.kpj");
     let cats = dir.join("g.cats");
-    let lm = dir.join("g.lm");
+    let lm_graph = dir.join("g-lm.kpj");
 
     let out = cli()
         .args(["generate", "--dataset", "SJ", "--scale", "0.05", "--out"])
@@ -42,11 +42,13 @@ fn full_pipeline_generate_pois_landmarks_query_info() {
         .unwrap();
     assert!(out.status.success());
 
+    // The offline landmark phase: a second v2 file with 4 embedded
+    // landmark tables.
     let out = cli()
-        .args(["landmarks", "--count", "4", "--graph"])
+        .args(["convert", "--landmarks", "4", "--graph"])
         .arg(&graph)
         .arg("--out")
-        .arg(&lm)
+        .arg(&lm_graph)
         .output()
         .unwrap();
     assert!(
@@ -54,17 +56,16 @@ fn full_pipeline_generate_pois_landmarks_query_info() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("4 landmarks"));
 
-    // Query by category, with landmarks, explicit algorithm.
+    // Query by category, with the embedded landmarks, explicit algorithm.
     let out = cli()
         .args(["query", "--source", "17", "--category", "T2", "--k", "5"])
         .args(["--algorithm", "iterboundi"])
         .arg("--graph")
-        .arg(&graph)
+        .arg(&lm_graph)
         .arg("--categories")
         .arg(&cats)
-        .arg("--landmarks")
-        .arg(&lm)
         .output()
         .unwrap();
     assert!(
@@ -77,7 +78,8 @@ fn full_pipeline_generate_pois_landmarks_query_info() {
     assert_eq!(lines.len(), 5, "expected 5 paths:\n{stdout}");
     assert!(lines[0].starts_with("P1 len="));
 
-    // The same query without landmarks must print identical lengths.
+    // The same query on the landmark-free generated file must print
+    // identical lengths.
     let out2 = cli()
         .args(["query", "--source", "17", "--category", "T2", "--k", "5"])
         .args(["--algorithm", "da"])
@@ -95,7 +97,7 @@ fn full_pipeline_generate_pois_landmarks_query_info() {
     };
     assert_eq!(lens(&stdout), lens(&String::from_utf8_lossy(&out2.stdout)));
 
-    // info
+    // info: generate writes v2; the converted file carries the tables.
     let out = cli()
         .arg("info")
         .arg("--graph")
@@ -103,7 +105,18 @@ fn full_pipeline_generate_pois_landmarks_query_info() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("nodes: 913"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("format: v2"), "{stdout}");
+    assert!(!stdout.contains("embedded landmarks"), "{stdout}");
+    assert!(stdout.contains("nodes: 913"), "{stdout}");
+    let out = cli()
+        .arg("info")
+        .arg("--graph")
+        .arg(&lm_graph)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("embedded landmarks"));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -252,7 +265,7 @@ fn helpful_errors() {
 fn unknown_options_are_rejected() {
     let dir = tmpdir("options");
     let graph = dir.join("g.kpj");
-    let lm = dir.join("g.lm");
+    let converted = dir.join("g2.kpj");
     let out = cli()
         .args(["generate", "--nodes", "60", "--arcs", "200", "--out"])
         .arg(&graph)
@@ -260,36 +273,67 @@ fn unknown_options_are_rejected() {
         .unwrap();
     assert!(out.status.success());
 
-    // `--threads` is not a landmarks option, and a misspelt `--count`
-    // must not fall back to the default count.
-    for (bad, value) in [("--threads", "2"), ("--cuont", "8")] {
+    // `--threads` is not a convert option, a misspelt `--landmarks` must
+    // not fall back to a file without tables, and `--to-v2` (convert
+    // always writes v2) fails by name wherever it stands.
+    let cases: [&[&str]; 4] = [
+        &["--threads", "2"],
+        &["--landmraks", "8"],
+        &["--to-v2", "--reorder"],
+        &["--to-v2"],
+    ];
+    for extra in cases {
         let out = cli()
-            .args(["landmarks", "--graph"])
+            .args(["convert", "--graph"])
             .arg(&graph)
             .arg("--out")
-            .arg(&lm)
-            .args([bad, value])
+            .arg(&converted)
+            .args(extra)
             .output()
             .unwrap();
-        assert!(!out.status.success(), "{bad} was accepted");
+        assert!(!out.status.success(), "{extra:?} was accepted");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(&format!("unknown option {bad} for landmarks")),
+            stderr.contains(&format!("unknown option {} for convert", extra[0])),
             "{stderr}"
         );
-        assert!(!lm.exists(), "{bad}: the command ran anyway");
+        assert!(!converted.exists(), "{extra:?}: the command ran anyway");
     }
 
-    // Options are checked per command: `--count` belongs to landmarks,
-    // not to query, and `-k` is the key `k`.
+    // `landmarks` is not a command: `convert --landmarks N` embeds the
+    // tables in a v2 file.
     let out = cli()
-        .args(["query", "--source", "0", "--targets", "3", "--count", "4"])
-        .arg("--graph")
+        .args(["landmarks", "--count", "4", "--graph"])
         .arg(&graph)
+        .arg("--out")
+        .arg(dir.join("g.lm"))
         .output()
         .unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --count for query"));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown command `landmarks`"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Options are checked per command: `--reorder` belongs to convert,
+    // not to query; query reads landmarks only from the v2 file, so it
+    // takes no `--landmarks`; and `-k` is the key `k`.
+    for bad in [["--reorder", "--stats"], ["--landmarks", "g.lm"]] {
+        let out = cli()
+            .args(["query", "--source", "0", "--targets", "3"])
+            .args(bad)
+            .arg("--graph")
+            .arg(&graph)
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {} for query", bad[0])),
+            "{stderr}"
+        );
+    }
     let out = cli()
         .args(["query", "--source", "0", "--targets", "3", "-k", "2"])
         .arg("--graph")
