@@ -15,12 +15,8 @@ cargo test --workspace -q
 
 # --test-threads=1: the counting allocator is process-global, so libtest's
 # own worker threads would bleed allocations into a measured window.
-echo "==> zero-allocation steady state, tracing enabled, with and without landmarks and a target row, and on a tie-heavy small world (count-alloc feature)"
+echo "==> zero-allocation steady state while tracing, with and without landmarks and a target row, and on a tie-heavy small world (count-alloc feature)"
 cargo test -q -p kpj-core --features count-alloc --test alloc_count -- --test-threads=1
-
-echo "==> trace feature compiles out cleanly (no-default-features)"
-cargo check -q -p kpj-core --no-default-features
-cargo check -q -p kpj-service --no-default-features
 
 echo "==> metrics exposition smoke (serve -> {\"cmd\":\"metrics\"} -> Prometheus lines)"
 cargo test -q -p kpj-service --test metrics_smoke
@@ -28,8 +24,14 @@ cargo test -q -p kpj-service --test metrics_smoke
 echo "==> slow-query flight recorder round trip (record -> kpj-fuzz replay)"
 cargo test -q -p kpj-oracle --test flight_recorder
 
-echo "==> release build (binaries: kpj-cli, kpj-serve, kpj-loadgen, gen-huge, kpj-fuzz, bench-kpj)"
+echo "==> release build (binaries: kpj-cli, kpj-serve, kpj-loadgen, gen-huge, kpj-fuzz, repro, bench-kpj)"
 cargo build --release -q --workspace
+
+# Paper-figure smoke: repro is the one ruler for Table 1, Figs. 6a-13
+# and the ablation. At the default (reduced) scale every experiment runs
+# end to end in seconds; a panic or a failed query fails the gate.
+echo "==> paper figures smoke (repro all ablation, default scale)"
+./target/release/repro all ablation
 
 # Continental-scale storage smoke: stream a ~1M-node road-like graph to
 # a page-aligned v2 file in O(1) writer memory, open it zero-copy via

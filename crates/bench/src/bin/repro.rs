@@ -21,6 +21,11 @@ use kpj_graph::NodeId;
 use kpj_landmark::{LandmarkIndex, SelectionStrategy};
 use kpj_workload::{analysis, datasets, queries::QuerySets};
 
+/// What `all` (and no experiment at all) runs: Table 1 and every figure.
+const ALL_FIGURES: [&str; 10] = [
+    "table1", "fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+];
+
 #[derive(Debug, Clone)]
 struct Opts {
     experiments: Vec<String>,
@@ -71,15 +76,18 @@ impl Opts {
                 other => experiments.push(other.to_ascii_lowercase()),
             }
         }
-        if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-            experiments = [
-                "table1", "fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-                "fig13",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        // `all` expands in place, so `all ablation` runs every figure and
+        // then the ablation.
+        if experiments.is_empty() {
+            experiments.push("all".to_string());
         }
+        let experiments = experiments
+            .into_iter()
+            .flat_map(|e| match e.as_str() {
+                "all" => ALL_FIGURES.iter().map(|s| s.to_string()).collect(),
+                _ => vec![e],
+            })
+            .collect();
         Opts {
             experiments,
             scale,
@@ -606,4 +614,23 @@ fn ablation(opts: &Opts) {
             r.stats.nodes_settled / r.queries.max(1)
         );
     }
+
+    // The related-work contrast (§1, [12, 19]): top-k *general* paths
+    // (cycles allowed) are the classically easy problem; the simplicity
+    // constraint is what the paper's machinery pays for.
+    println!("\n== Ablation: simple vs general top-k (COL, T=T2, Q3, k=50) ==");
+    let sources = qs.group(3);
+    let t0 = Instant::now();
+    for &s in sources {
+        std::hint::black_box(kpj_core::general::top_k_walks(
+            &env.graph,
+            &[s],
+            &targets2,
+            50,
+        ));
+    }
+    let walks_ms = t0.elapsed().as_secs_f64() * 1e3 / sources.len().max(1) as f64;
+    let r = run_batch(&mut engine, Algorithm::IterBoundI, sources, &targets2, 50);
+    println!("  general walks: {walks_ms:>8.3} ms/query");
+    println!("  IterBoundI:    {:>8.3} ms/query", r.ms_per_query());
 }

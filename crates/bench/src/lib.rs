@@ -3,11 +3,11 @@
 //! Every experiment of §7 needs the same scaffolding: a (scaled) synthetic
 //! dataset, its POI categories, a landmark index, distance-stratified
 //! query sets, and per-algorithm timing over a batch of queries. This
-//! crate centralizes that so the Criterion benches (`benches/`, one per
-//! figure) and the `repro` binary (paper-style tables on stdout) stay
-//! small and consistent.
+//! crate centralizes that so the `repro` binary (paper-style tables on
+//! stdout, one experiment per figure) and `bench-kpj` stay small and
+//! consistent.
 //!
-//! Scaling: `cargo bench` uses reduced scales so a full run stays in the
+//! Scaling: `repro` defaults to reduced scales so a full run stays in the
 //! minutes; `repro --full` uses the paper's exact dataset sizes. The
 //! *shape* claims of the paper (who wins, by how much, trends in Q/k/|T|)
 //! are scale-stable — see `EXPERIMENTS.md`.
@@ -65,8 +65,6 @@ impl CalEnv {
 
 /// A prepared environment for one Table 1 dataset with nested `T1..T4`.
 pub struct NestedEnv {
-    /// Which dataset (and its paper-scale size).
-    pub spec: DatasetSpec,
     /// The road network at the chosen scale.
     pub graph: Graph,
     /// `T1 ⊂ T2 ⊂ T3 ⊂ T4`.
@@ -90,7 +88,6 @@ impl NestedEnv {
             0x901,
         );
         NestedEnv {
-            spec,
             graph,
             categories,
             pois,

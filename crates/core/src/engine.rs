@@ -445,15 +445,14 @@ impl<'g> QueryEngine<'g> {
 
     /// Trace one query in every `every` (0 disables tracing, 1 — the
     /// default — traces every query). Span recording is pre-allocated and
-    /// allocation-free either way; without the `trace` cargo feature this
-    /// is a no-op.
+    /// allocation-free either way.
     pub fn set_trace_sampling(&mut self, every: u32) {
         self.warm.scratch.trace.set_sampling(every);
     }
 
     /// The span trace of the most recent (sampled) query, oldest first,
     /// as two contiguous halves of the span ring. Empty when the query
-    /// was not sampled or tracing is compiled out.
+    /// was not sampled.
     pub fn trace_spans(&self) -> (&[SpanRecord], &[SpanRecord]) {
         self.warm.scratch.trace.spans()
     }

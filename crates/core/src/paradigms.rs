@@ -73,76 +73,41 @@ impl<F: Fn(NodeId) -> Length> SubspaceOracle for PlainOracle<F> {
 /// heap).
 type Entry = (VertexId, Option<FoundPath>);
 
-/// Maximum round-batch size drained from the paradigm queues. Bounding
-/// the batch bounds the speculative overshoot at the termination
-/// boundary: at most `ROUND_BATCH_MAX - 1` searches of the final batch
-/// can be wasted, once per query.
-const ROUND_BATCH_MAX: usize = 16;
-
-/// Drain the *round batch*: starting from the just-popped unsolved entry
-/// `first`, keep popping while the queue head is also unsolved, up to
-/// [`ROUND_BATCH_MAX`] entries. Every drained key is ≤ every remaining
-/// key, so each drained subspace would have been searched before any
-/// queued `Found` could terminate the loop — except possibly in the
-/// query's final batch, where the overshoot is bounded by the cap.
-fn drain_round_batch(
-    q: &mut MinHeap<Length, Entry>,
-    first: (Length, VertexId),
-    batch: &mut Vec<(Length, VertexId)>,
-    stats: &mut QueryStats,
-) {
-    batch.clear();
-    batch.push(first);
-    while batch.len() < ROUND_BATCH_MAX {
-        let Some((k, &(v, payload))) = q.peek() else {
-            break;
-        };
-        if payload.is_some() {
-            break;
-        }
-        q.pop();
-        stats.heap_pops += 1;
-        batch.push((k, v));
-    }
-}
-
-/// Run one round batch of subspace searches (`bound = None` for the
-/// best-first paradigm's unbounded `CompSP`s, `Some(τ)` for iter-bound's
-/// `TestLB` probes) and push the outcomes back in batch order. Returns
-/// `true` if a search aborted on the deadline (the caller stops).
+/// Search the subspace at `vertex` once (`bound = None` for the
+/// best-first paradigm's unbounded `CompSP`, `Some(τ)` for iter-bound's
+/// `TestLB` probe) and push the outcome back. Returns `true` if the search
+/// aborted on the deadline (the caller stops).
 #[allow(clippy::too_many_arguments)]
-fn run_search_batch<O: SubspaceOracle>(
+fn search_and_push<O: SubspaceOracle>(
     ctx: &SubspaceCtx<'_>,
     scratch: &mut SubspaceScratch,
     store: &mut PathStore,
     tree: &PseudoTree,
     oracle: &O,
-    batch: &[(Length, VertexId)],
+    vertex: VertexId,
     bound: Option<Length>,
     q: &mut MinHeap<Length, Entry>,
     stats: &mut QueryStats,
 ) -> bool {
-    for &(_, vertex) in batch {
-        match subspace_search(
-            ctx,
-            scratch,
-            store,
-            tree,
-            vertex,
-            &mut |v| oracle.estimate(v),
-            bound,
-            stats,
-        ) {
-            SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f))),
-            SubspaceSearch::Bounded => {
-                q.push(
-                    bound.expect("bounded outcome implies a bound"),
-                    (vertex, None),
-                );
-            }
-            SubspaceSearch::Empty => {}
-            SubspaceSearch::Aborted => return true,
+    match subspace_search(
+        ctx,
+        scratch,
+        store,
+        tree,
+        vertex,
+        &mut |v| oracle.estimate(v),
+        bound,
+        stats,
+    ) {
+        SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f))),
+        SubspaceSearch::Bounded => {
+            q.push(
+                bound.expect("bounded outcome implies a bound"),
+                (vertex, None),
+            );
         }
+        SubspaceSearch::Empty => {}
+        SubspaceSearch::Aborted => return true,
     }
     false
 }
@@ -170,7 +135,7 @@ pub(crate) fn run_best_first<O: SubspaceOracle>(
         if ctx.deadline.expired() {
             break;
         }
-        let Some((key, (vertex, payload))) = q.pop() else {
+        let Some((_, (vertex, payload))) = q.pop() else {
             break;
         };
         stats.heap_pops += 1;
@@ -189,14 +154,12 @@ pub(crate) fn run_best_first<O: SubspaceOracle>(
                     stats,
                 );
             }
+            // An unsolved subspace at the front: one CompSP, its shortest
+            // path goes back into the queue.
             None => {
-                let mut batch = std::mem::take(&mut scratch.round_batch);
-                drain_round_batch(&mut q, (key, vertex), &mut batch, stats);
-                let aborted = run_search_batch(
-                    ctx, scratch, store, tree, &*oracle, &batch, None, &mut q, stats,
-                );
-                scratch.round_batch = batch;
-                if aborted {
+                if search_and_push(
+                    ctx, scratch, store, tree, &*oracle, vertex, None, &mut q, stats,
+                ) {
                     break;
                 }
             }
@@ -271,18 +234,9 @@ pub(crate) fn run_iter_bound<O: SubspaceOracle>(
                 );
             }
             None => {
-                let mut batch = std::mem::take(&mut scratch.round_batch);
-                drain_round_batch(&mut q, (key, vertex), &mut batch, stats);
-                // Line 9: enlarge τ from the batch's own bounds and the
-                // best other bound in the queue. Drained keys are
-                // non-decreasing, so the last one dominates the batch;
-                // with a batch of one this is exactly the paper's
-                // `max(lb(S), Q.top().key)`. One shared τ serves the
-                // whole round — a valid (possibly larger) threshold for
-                // every probe in it — so `prepare_tau` runs once per round.
-                let last = batch.last().expect("batch holds `first`").0;
-                let base = last.max(q.peek_key().unwrap_or(last));
-                let tau = next_tau(base, alpha);
+                // Line 9: enlarge τ from the subspace's own bound and the
+                // best other bound in the queue.
+                let tau = next_tau(key.max(q.peek_key().unwrap_or(key)), alpha);
                 stats.tau_updates += 1;
                 stats.final_tau = stats.final_tau.max(tau);
                 // `prepare_tau` is where SPT_I regrows its tree — SPT
@@ -290,19 +244,18 @@ pub(crate) fn run_iter_bound<O: SubspaceOracle>(
                 let tick = scratch.trace.start();
                 oracle.prepare_tau(tau, stats);
                 scratch.trace.record(Stage::SptBuild, tick);
-                let aborted = run_search_batch(
+                // One TestLB probe under τ.
+                if search_and_push(
                     ctx,
                     scratch,
                     store,
                     tree,
                     &*oracle,
-                    &batch,
+                    vertex,
                     Some(tau),
                     &mut q,
                     stats,
-                );
-                scratch.round_batch = batch;
-                if aborted {
+                ) {
                     break;
                 }
             }
@@ -374,7 +327,37 @@ mod tests {
         assert!(next_tau(Length::MAX - 1, 1.1) >= Length::MAX - 1);
     }
 
-    // The paradigm loops themselves are exercised end-to-end through the
-    // `QueryEngine` tests in `engine.rs` and the workspace integration
-    // tests, which cross-check them against brute force on many graphs.
+    /// Alg. 2 and Alg. 4 search a subspace only when it reaches the
+    /// front of the queue. A chain 0→1→2→3→4 (unit arcs) with one detour
+    /// i→(5+i)→4 per chain node, priced so that deviating at i costs 8, 7,
+    /// 6 and 5 in total: under an exact target row every `CompLB` is the
+    /// subspace's true shortest length, so the top-2 `[4, 5]` needs the
+    /// initial search plus one search of the deviation at 3 — the three
+    /// dearer deviations stay unsearched in the queue.
+    #[test]
+    fn loops_search_only_the_popped_subspace() {
+        use crate::{Algorithm, QueryEngine};
+        use kpj_graph::GraphBuilder;
+        use kpj_landmark::TargetRow;
+        use std::sync::Arc;
+
+        let mut b = GraphBuilder::new(9);
+        for i in 0..4u32 {
+            b.add_edge(i, i + 1, 1).unwrap();
+            b.add_edge(i, 5 + i, 1).unwrap();
+            b.add_edge(5 + i, 4, 7 - 2 * i).unwrap();
+        }
+        let g = b.build();
+        let row = Arc::new(TargetRow::build(&g, &[4]));
+        let mut engine = QueryEngine::new(&g).with_target_row(row);
+
+        let r = engine.query(Algorithm::BestFirst, 0, &[4], 2).unwrap();
+        assert_eq!(r.paths.lengths(), [4, 5]);
+        assert_eq!(r.stats.target_row, 1);
+        assert_eq!(r.stats.shortest_path_computations, 2, "{:?}", r.stats);
+
+        let r = engine.query(Algorithm::IterBound, 0, &[4], 2).unwrap();
+        assert_eq!(r.paths.lengths(), [4, 5]);
+        assert_eq!(r.stats.testlb_calls, 1, "{:?}", r.stats);
+    }
 }

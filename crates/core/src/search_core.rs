@@ -162,12 +162,9 @@ pub(crate) struct SubspaceScratch {
     pub dev_heap: MinHeap<Length, FoundPath>,
     /// Pooled subspace queue of the best-first / iter-bound paradigms.
     pub para_heap: MinHeap<Length, (VertexId, Option<FoundPath>)>,
-    /// Pooled round batch drained from `para_heap` (the `(key, vertex)`
-    /// pairs of consecutive unsolved subspaces — see `crate::paradigms`).
-    pub round_batch: Vec<(Length, VertexId)>,
     /// The query tracer: a pre-allocated span ring, threaded here so every
     /// primitive and paradigm can record stage spans without new
-    /// parameters. A no-op ZST when the `trace` feature is off.
+    /// parameters.
     pub trace: QueryTrace,
 }
 
@@ -182,7 +179,6 @@ impl SubspaceScratch {
             affected: Vec::new(),
             dev_heap: MinHeap::new(),
             para_heap: MinHeap::new(),
-            round_batch: Vec::new(),
             trace: QueryTrace::new(kpj_obs::trace::DEFAULT_SPAN_CAPACITY),
         }
     }

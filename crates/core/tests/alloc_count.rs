@@ -3,10 +3,10 @@
 //! plus an exact target row — answers repeat KPJ queries through
 //! `query_multi_into` without a single heap allocation, for every
 //! algorithm — *with the
-//! structured tracer recording spans*. The `trace` feature is on by
-//! default, so this test doubles as proof that span recording stays off
-//! the heap; the trace-gated assertions below verify spans were actually
-//! produced (the guarantee is not vacuous).
+//! structured tracer recording spans*. Tracing is on by default, so this
+//! test doubles as proof that span recording stays off the heap; the span
+//! assertions below verify spans were actually produced (the guarantee is
+//! not vacuous).
 //!
 //! Gated behind the `count-alloc` feature because it installs a counting
 //! global allocator for the whole test process:
@@ -181,15 +181,12 @@ fn warmed_queries_do_not_allocate(
         assert_eq!(out.lengths(), warm, "{}: answer drifted", alg.name());
         // The zero-allocation claim must hold *while tracing*: every
         // sampled query leaves a non-empty span trace behind.
-        #[cfg(feature = "trace")]
-        {
-            let (older, newer) = engine.trace_spans();
-            assert!(
-                older.len() + newer.len() > 0,
-                "{}: tracing was enabled but recorded no spans",
-                alg.name()
-            );
-        }
+        let (older, newer) = engine.trace_spans();
+        assert!(
+            older.len() + newer.len() > 0,
+            "{}: tracing was enabled but recorded no spans",
+            alg.name()
+        );
     }
 }
 
@@ -299,7 +296,6 @@ fn retargeted_engine_answers_without_allocating() {
 /// Draining the span ring between queries (what the service pool worker
 /// does) is also allocation-free, and sampling can be retuned live
 /// without touching the heap.
-#[cfg(feature = "trace")]
 #[test]
 fn span_drain_and_sampling_are_allocation_free() {
     use kpj_obs::Stage;

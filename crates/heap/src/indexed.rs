@@ -11,8 +11,7 @@ const ABSENT: u32 = u32::MAX;
 /// (compare up to `A` children per level) for a shallower tree, which
 /// pays off in decrease-key-heavy workloads like Dijkstra where
 /// `sift_up` (one comparison per level) dominates: a 4-ary heap halves
-/// the sift-up depth. `crates/heap/examples/heap_arity.rs` measures the
-/// trade-off.
+/// the sift-up depth.
 ///
 /// Tie-breaking is arity-independent in the cases this workspace relies
 /// on: among equal keys the earlier heap slot wins, and for `A = 2` the

@@ -8,7 +8,7 @@
 //!
 //! | Module | Provides |
 //! |---|---|
-//! | [`trace`] | [`QueryTrace`]: a pre-allocated per-worker span ring buffer recording stage-scoped timings, compiled out entirely without the `trace` feature |
+//! | [`trace`] | [`QueryTrace`]: a pre-allocated per-worker span ring buffer recording stage-scoped timings, switched off at runtime by a sampling rate of 0 |
 //! | [`histogram`] | [`Histogram`]: fixed-bucket log-linear latency histogram with approximate quantiles (moved here from `kpj-service`) |
 //! | [`registry`] | [`StageRegistry`]: histograms keyed by (algorithm, stage) plus per-algorithm work counters, rendered as Prometheus text |
 //! | [`gauge`] | [`GaugeSet`]: lock-free named gauges with set/add/high-water semantics, rendered as a Prometheus gauge family |

@@ -5,11 +5,10 @@
 //! calls [`QueryTrace::begin`], which applies the runtime sampling knob;
 //! stage-scoped code then brackets work with [`QueryTrace::start`] /
 //! [`QueryTrace::record`]. When the query is not sampled, `start` returns
-//! an inert [`Tick`] and both calls cost one branch.
-//!
-//! Without the `trace` cargo feature every type here except
-//! [`Stage`]/[`SpanRecord`] is a zero-sized no-op with the same API, so
-//! call sites need no `cfg` of their own and the compiler deletes them.
+//! an inert [`Tick`] and both calls cost one branch; a sampling rate of
+//! 0 ([`QueryTrace::set_sampling`]) switches tracing off at runtime.
+
+use std::time::Instant;
 
 /// The stage taxonomy: where a query's wall time can go.
 ///
@@ -89,207 +88,141 @@ pub struct SpanRecord {
 /// the newest spans) when it does.
 pub const DEFAULT_SPAN_CAPACITY: usize = 256;
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::{SpanRecord, Stage};
-    use std::time::Instant;
+/// An opaque timestamp from [`QueryTrace::start`]. Inert (and free to
+/// drop) when the query is not sampled.
+#[derive(Clone, Copy)]
+pub struct Tick(Option<Instant>);
 
-    /// An opaque timestamp from [`QueryTrace::start`]. Inert (and free to
-    /// drop) when the query is not sampled.
-    #[derive(Clone, Copy)]
-    pub struct Tick(Option<Instant>);
+/// Pre-allocated span ring buffer for one engine. See the module docs.
+pub struct QueryTrace {
+    spans: Box<[SpanRecord]>,
+    /// Next write position.
+    head: usize,
+    /// Recorded spans, saturating at capacity.
+    len: usize,
+    /// Spans lost to ring wrap-around since `begin`.
+    dropped: u64,
+    epoch: Instant,
+    active: bool,
+    sample_every: u32,
+    /// Queries until the next sampled one.
+    countdown: u32,
+}
 
-    /// Pre-allocated span ring buffer for one engine. See the module docs.
-    pub struct QueryTrace {
-        spans: Box<[SpanRecord]>,
-        /// Next write position.
-        head: usize,
-        /// Recorded spans, saturating at capacity.
-        len: usize,
-        /// Spans lost to ring wrap-around since `begin`.
-        dropped: u64,
-        epoch: Instant,
-        active: bool,
-        sample_every: u32,
-        /// Queries until the next sampled one.
-        countdown: u32,
+impl QueryTrace {
+    /// Allocate a ring of `capacity` spans (the only allocation this
+    /// type ever performs). Sampling defaults to every query.
+    pub fn new(capacity: usize) -> QueryTrace {
+        let filler = SpanRecord {
+            stage: Stage::Total,
+            start_ns: 0,
+            dur_ns: 0,
+        };
+        QueryTrace {
+            spans: vec![filler; capacity.max(1)].into_boxed_slice(),
+            head: 0,
+            len: 0,
+            dropped: 0,
+            epoch: Instant::now(),
+            active: false,
+            sample_every: 1,
+            countdown: 0,
+        }
     }
 
-    impl QueryTrace {
-        /// Allocate a ring of `capacity` spans (the only allocation this
-        /// type ever performs). Sampling defaults to every query.
-        pub fn new(capacity: usize) -> QueryTrace {
-            let filler = SpanRecord {
-                stage: Stage::Total,
-                start_ns: 0,
-                dur_ns: 0,
-            };
-            QueryTrace {
-                spans: vec![filler; capacity.max(1)].into_boxed_slice(),
-                head: 0,
-                len: 0,
-                dropped: 0,
-                epoch: Instant::now(),
-                active: false,
-                sample_every: 1,
-                countdown: 0,
-            }
-        }
+    /// Set the sampling rate: trace every `every`-th query; `0`
+    /// disables tracing at runtime.
+    pub fn set_sampling(&mut self, every: u32) {
+        self.sample_every = every;
+        self.countdown = 0;
+    }
 
-        /// Set the sampling rate: trace every `every`-th query; `0`
-        /// disables tracing at runtime.
-        pub fn set_sampling(&mut self, every: u32) {
-            self.sample_every = every;
-            self.countdown = 0;
-        }
+    /// Current sampling rate.
+    pub fn sampling(&self) -> u32 {
+        self.sample_every
+    }
 
-        /// Current sampling rate.
-        pub fn sampling(&self) -> u32 {
-            self.sample_every
+    /// Start a new query: clear the ring, apply the sampling decision
+    /// and (when sampled) stamp the epoch. Returns whether this query
+    /// is being traced.
+    pub fn begin(&mut self) -> bool {
+        self.head = 0;
+        self.len = 0;
+        self.dropped = 0;
+        if self.sample_every == 0 {
+            self.active = false;
+        } else if self.countdown == 0 {
+            self.countdown = self.sample_every - 1;
+            self.active = true;
+            self.epoch = Instant::now();
+        } else {
+            self.countdown -= 1;
+            self.active = false;
         }
+        self.active
+    }
 
-        /// Start a new query: clear the ring, apply the sampling decision
-        /// and (when sampled) stamp the epoch. Returns whether this query
-        /// is being traced.
-        pub fn begin(&mut self) -> bool {
-            self.head = 0;
-            self.len = 0;
-            self.dropped = 0;
-            if self.sample_every == 0 {
-                self.active = false;
-            } else if self.countdown == 0 {
-                self.countdown = self.sample_every - 1;
-                self.active = true;
-                self.epoch = Instant::now();
-            } else {
-                self.countdown -= 1;
-                self.active = false;
-            }
-            self.active
-        }
+    /// Whether the current query is being traced.
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
 
-        /// Whether the current query is being traced.
-        pub fn is_active(&self) -> bool {
-            self.active
-        }
+    /// Take a timestamp for a span about to start.
+    #[inline]
+    pub fn start(&self) -> Tick {
+        Tick(if self.active {
+            Some(Instant::now())
+        } else {
+            None
+        })
+    }
 
-        /// Take a timestamp for a span about to start.
-        #[inline]
-        pub fn start(&self) -> Tick {
-            Tick(if self.active {
-                Some(Instant::now())
-            } else {
-                None
-            })
+    /// Close the span opened by `tick` and record it under `stage`.
+    #[inline]
+    pub fn record(&mut self, stage: Stage, tick: Tick) {
+        let Some(t0) = tick.0 else { return };
+        if !self.active {
+            return;
         }
+        let start_ns = t0
+            .duration_since(self.epoch)
+            .as_nanos()
+            .min(u64::MAX as u128) as u64;
+        let dur_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.push(SpanRecord {
+            stage,
+            start_ns,
+            dur_ns,
+        });
+    }
 
-        /// Close the span opened by `tick` and record it under `stage`.
-        #[inline]
-        pub fn record(&mut self, stage: Stage, tick: Tick) {
-            let Some(t0) = tick.0 else { return };
-            if !self.active {
-                return;
-            }
-            let start_ns = t0
-                .duration_since(self.epoch)
-                .as_nanos()
-                .min(u64::MAX as u128) as u64;
-            let dur_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.push(SpanRecord {
-                stage,
-                start_ns,
-                dur_ns,
-            });
+    fn push(&mut self, span: SpanRecord) {
+        self.spans[self.head] = span;
+        self.head = (self.head + 1) % self.spans.len();
+        if self.len < self.spans.len() {
+            self.len += 1;
+        } else {
+            self.dropped += 1;
         }
+    }
 
-        fn push(&mut self, span: SpanRecord) {
-            self.spans[self.head] = span;
-            self.head = (self.head + 1) % self.spans.len();
-            if self.len < self.spans.len() {
-                self.len += 1;
-            } else {
-                self.dropped += 1;
-            }
+    /// The recorded spans in chronological order, as (older, newer)
+    /// ring halves — concatenate to iterate.
+    pub fn spans(&self) -> (&[SpanRecord], &[SpanRecord]) {
+        if self.len < self.spans.len() {
+            (&self.spans[..self.len], &[])
+        } else {
+            (&self.spans[self.head..], &self.spans[..self.head])
         }
+    }
 
-        /// The recorded spans in chronological order, as (older, newer)
-        /// ring halves — concatenate to iterate.
-        pub fn spans(&self) -> (&[SpanRecord], &[SpanRecord]) {
-            if self.len < self.spans.len() {
-                (&self.spans[..self.len], &[])
-            } else {
-                (&self.spans[self.head..], &self.spans[..self.head])
-            }
-        }
-
-        /// Spans lost to ring wrap-around during the current query.
-        pub fn dropped(&self) -> u64 {
-            self.dropped
-        }
+    /// Spans lost to ring wrap-around during the current query.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use super::{SpanRecord, Stage};
-
-    /// Inert timestamp (the `trace` feature is off).
-    #[derive(Clone, Copy)]
-    pub struct Tick;
-
-    /// No-op tracer (the `trace` feature is off): every method compiles
-    /// to nothing and the type is zero-sized.
-    pub struct QueryTrace;
-
-    impl QueryTrace {
-        /// No-op constructor.
-        pub fn new(_capacity: usize) -> QueryTrace {
-            QueryTrace
-        }
-
-        /// No-op: the sampling knob does not exist without `trace`.
-        pub fn set_sampling(&mut self, _every: u32) {}
-
-        /// Always 0 (tracing compiled out).
-        pub fn sampling(&self) -> u32 {
-            0
-        }
-
-        /// Always inactive.
-        pub fn begin(&mut self) -> bool {
-            false
-        }
-
-        /// Always false.
-        pub fn is_active(&self) -> bool {
-            false
-        }
-
-        /// Returns the inert [`Tick`].
-        #[inline]
-        pub fn start(&self) -> Tick {
-            Tick
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn record(&mut self, _stage: Stage, _tick: Tick) {}
-
-        /// Always empty.
-        pub fn spans(&self) -> (&[SpanRecord], &[SpanRecord]) {
-            (&[], &[])
-        }
-
-        /// Always 0.
-        pub fn dropped(&self) -> u64 {
-            0
-        }
-    }
-}
-
-pub use imp::{QueryTrace, Tick};
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

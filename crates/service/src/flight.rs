@@ -32,6 +32,9 @@ pub struct FlightRecorder {
     dir: PathBuf,
     threshold: Duration,
     max_records: u64,
+    /// Record slots handed out (the cap applies to these).
+    reserved: AtomicU64,
+    /// Files actually written.
     written: AtomicU64,
 }
 
@@ -45,6 +48,7 @@ impl FlightRecorder {
             dir,
             threshold,
             max_records: DEFAULT_MAX_RECORDS,
+            reserved: AtomicU64::new(0),
             written: AtomicU64::new(0),
         })
     }
@@ -55,12 +59,7 @@ impl FlightRecorder {
         self
     }
 
-    /// The slow-query latency threshold.
-    pub fn threshold(&self) -> Duration {
-        self.threshold
-    }
-
-    /// Records written so far.
+    /// Files written so far (a slot whose write failed does not count).
     pub fn written(&self) -> u64 {
         self.written.load(Ordering::Relaxed)
     }
@@ -81,7 +80,7 @@ impl FlightRecorder {
         if latency < self.threshold {
             return None;
         }
-        let seq = self.written.fetch_add(1, Ordering::Relaxed);
+        let seq = self.reserved.fetch_add(1, Ordering::Relaxed);
         if seq >= self.max_records {
             return None;
         }
@@ -91,7 +90,10 @@ impl FlightRecorder {
         ));
         let body = render_case(graph, request, latency, spans, result);
         match std::fs::write(&path, body) {
-            Ok(()) => Some(path),
+            Ok(()) => {
+                self.written.fetch_add(1, Ordering::Relaxed);
+                Some(path)
+            }
             Err(e) => {
                 eprintln!("flight recorder: cannot write {}: {e}", path.display());
                 None

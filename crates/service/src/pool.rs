@@ -486,22 +486,19 @@ fn observe_query(
         }
     }
     if let Some(flight) = &hooks.flight {
-        if exec >= flight.threshold() {
-            let before = flight.written();
-            flight.maybe_record(graph, request, exec, engine.trace_spans(), result);
-            if flight.written() > before {
-                if let Some(metrics) = &hooks.metrics {
-                    metrics.record_event(
-                        event::FLIGHT_DUMP,
-                        [
-                            algorithm_index(request.algorithm) as u64,
-                            exec.as_micros() as u64,
-                            flight.written(),
-                            0,
-                        ],
-                    );
-                }
-            }
+        let dumped = flight
+            .maybe_record(graph, request, exec, engine.trace_spans(), result)
+            .is_some();
+        if let (true, Some(metrics)) = (dumped, &hooks.metrics) {
+            metrics.record_event(
+                event::FLIGHT_DUMP,
+                [
+                    algorithm_index(request.algorithm) as u64,
+                    exec.as_micros() as u64,
+                    flight.written(),
+                    0,
+                ],
+            );
         }
     }
 }
@@ -786,7 +783,7 @@ mod tests {
         );
         pool.run(request(2)).unwrap();
         let idx = algorithm_index(Algorithm::IterBoundI);
-        // Queue wait is measured by the worker itself, trace or not.
+        // Queue wait is measured by the worker itself.
         assert_eq!(
             metrics.registry().histogram(idx, Stage::QueueWait).count(),
             1
@@ -795,9 +792,7 @@ mod tests {
         // registry on the worker thread.
         let snap = metrics.snapshot();
         assert!(snap.heap_pops > 0, "heap pops not absorbed: {snap}");
-        // With tracing compiled in, engine-side spans land in their
-        // per-stage histograms too.
-        #[cfg(feature = "trace")]
+        // Engine-side spans land in their per-stage histograms too.
         assert!(
             metrics.registry().histogram(idx, Stage::SptBuild).count() > 0
                 || metrics
@@ -807,6 +802,47 @@ mod tests {
                     > 0,
             "no engine spans reached the registry"
         );
+    }
+
+    #[test]
+    fn flight_dump_events_match_the_files_written() {
+        // Threshold 0 makes every query slow; a cap of 1 lets exactly one
+        // through. Queries past the cap write no file, so they must not
+        // journal a dump either.
+        let dir = std::env::temp_dir().join(format!("kpj-pool-flight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recorder = FlightRecorder::new(&dir, Duration::ZERO)
+            .unwrap()
+            .with_max_records(1);
+        let metrics = Arc::new(Metrics::new());
+        let pool = EnginePool::with_hooks(
+            diamond(),
+            None,
+            PoolConfig {
+                workers: 1,
+                queue_capacity: 8,
+                ..Default::default()
+            },
+            PoolHooks {
+                metrics: Some(Arc::clone(&metrics)),
+                flight: Some(Arc::new(recorder)),
+                ..Default::default()
+            },
+        );
+        for k in 1..=3 {
+            pool.run(request(k)).unwrap();
+        }
+        let files = crate::flight::list_records(&dir).unwrap();
+        assert_eq!(files.len(), 1, "{files:?}");
+        let dumps: Vec<_> = metrics
+            .journal()
+            .tail(64)
+            .into_iter()
+            .filter(|e| e.kind == event::FLIGHT_DUMP)
+            .collect();
+        assert_eq!(dumps.len(), 1, "{dumps:?}");
+        assert_eq!(dumps[0].args[2], 1, "files written so far");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

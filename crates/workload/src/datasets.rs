@@ -11,8 +11,8 @@
 //!
 //! [`DatasetSpec::generate`] instantiates the synthetic stand-in (see
 //! `DESIGN.md` §4) at a given `scale ∈ (0, 1]` — `scale = 1` matches the
-//! paper's node/arc counts exactly; the benches default to smaller scales
-//! so `cargo bench` stays tractable.
+//! paper's node/arc counts exactly; `repro` defaults to smaller scales so
+//! a full figure run stays tractable.
 
 use kpj_graph::Graph;
 
