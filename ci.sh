@@ -122,10 +122,13 @@ cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
 # graph (given the from-scratch target row wherever the live answer
 # read one), the incrementally repaired landmark tables must equal a
 # full rebuild, and every repaired target row must equal a from-scratch
-# row. Seeded rounds pin the old epoch, so both ways of writing a new
-# epoch (into the retired previous one, or into a full copy) are
-# checked; the summary counts them, and the stage fails if no epoch was
-# written into a retired one or no target row was compared.
+# row. A cached answer the service revalidated across the batch must
+# match the fresh engine's lengths with valid paths instead. Seeded
+# rounds pin the old epoch, so both ways of writing a new epoch (into
+# the retired previous one, or into a full copy) are checked; the
+# summary counts them, and the stage fails if no epoch was written into
+# a retired one, no target row was compared, or the cache never both
+# kept and rejected an answer across a batch.
 # INTERLEAVE_SECONDS lengthens the box.
 echo "==> live-update interleaving oracle (seed 0xBEEF, <= ${INTERLEAVE_SECONDS:-30}s)"
 INTERLEAVE_OUT=$(cargo run --release -q -p kpj-oracle --bin kpj-fuzz -- \
@@ -137,6 +140,10 @@ echo "$INTERLEAVE_OUT" | grep -Eq 'reused=[1-9][0-9]* copied=[1-9]' || {
 }
 echo "$INTERLEAVE_OUT" | grep -Eq 'target rows repaired=[1-9]' || {
   echo "interleave oracle compared no repaired target row" >&2
+  exit 1
+}
+echo "$INTERLEAVE_OUT" | grep -Eq 'cache revalidations: kept=[1-9][0-9]* rejected=[1-9]' || {
+  echo "interleave oracle did not see the cache both keep and reject an answer across a batch" >&2
   exit 1
 }
 

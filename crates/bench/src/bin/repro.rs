@@ -26,6 +26,9 @@ const ALL_FIGURES: [&str; 10] = [
     "table1", "fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 ];
 
+/// Experiments that run only when named.
+const EXTRA: [&str; 2] = ["stats", "ablation"];
+
 #[derive(Debug, Clone)]
 struct Opts {
     experiments: Vec<String>,
@@ -81,13 +84,21 @@ impl Opts {
         if experiments.is_empty() {
             experiments.push("all".to_string());
         }
-        let experiments = experiments
+        let experiments: Vec<String> = experiments
             .into_iter()
             .flat_map(|e| match e.as_str() {
                 "all" => ALL_FIGURES.iter().map(|s| s.to_string()).collect(),
                 _ => vec![e],
             })
             .collect();
+        // Refuse a misspelt name before anything runs, so a script that
+        // names it fails instead of silently skipping the experiment.
+        for e in &experiments {
+            if !ALL_FIGURES.contains(&e.as_str()) && !EXTRA.contains(&e.as_str()) {
+                eprintln!("unknown experiment `{e}` (see --help)");
+                std::process::exit(2);
+            }
+        }
         Opts {
             experiments,
             scale,
@@ -117,7 +128,7 @@ fn main() {
             "fig13" => fig13(&opts),
             "stats" => stats_table(&opts),
             "ablation" => ablation(&opts),
-            other => eprintln!("unknown experiment `{other}` (see --help)"),
+            other => unreachable!("`{other}` passed Opts::parse"),
         }
         println!();
     }

@@ -126,6 +126,13 @@ impl PathSet {
         self.nodes.len()
     }
 
+    /// Release the buffers' spare capacity, for a set kept long after
+    /// it was filled.
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.spans.shrink_to_fit();
+    }
+
     /// Drop all paths, keeping both allocations.
     pub fn clear(&mut self) {
         self.nodes.clear();

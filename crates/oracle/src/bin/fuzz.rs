@@ -16,14 +16,16 @@
 //!
 //! `--interleave` runs the live-update oracle instead: per seed, weight-
 //! update batches are applied through a running `KpjService` and after
-//! every batch the live epoch (repaired landmarks, epoch-scoped cache)
-//! must agree bit-for-bit with a freshly built engine. Interleaving
+//! every batch the live epoch (repaired landmarks, revalidating cache)
+//! must agree with a freshly built engine: bit-for-bit, or for an answer
+//! the cache carried across the batch, in lengths and path validity. Interleaving
 //! failures are inherently stateful, so they report the seed instead of
 //! shrinking to a replay file. The summary line counts the epochs written
 //! into the retired previous epoch's buffers (`reused`) and into a full
 //! copy (`copied`); a run of 20 or more cases that never reused exits
 //! non-zero, because the double buffer then went unchecked. It also counts
-//! the repaired target rows compared against a from-scratch row.
+//! the repaired target rows compared against a from-scratch row, and the
+//! cached answers the revalidation kept across a batch or rejected.
 //!
 //! `--rows` runs the target-row differential instead: per seed, every
 //! algorithm that reads target bounds answers with an exact target row
@@ -166,8 +168,8 @@ fn run_interleave(args: &Args) -> ExitCode {
         round += 1;
     }
     println!(
-        "kpj-fuzz: {round} interleaving cases from seed {:#x}, 0 violations; epoch buffers: reused={} copied={}; target rows repaired={}",
-        args.seed, paths.reused, paths.copied, paths.rows
+        "kpj-fuzz: {round} interleaving cases from seed {:#x}, 0 violations; epoch buffers: reused={} copied={}; target rows repaired={}; cache revalidations: kept={} rejected={}",
+        args.seed, paths.reused, paths.copied, paths.rows, paths.kept, paths.rejected
     );
     if round >= MIN_ROUNDS_FOR_REUSE && paths.reused == 0 {
         eprintln!(

@@ -1,6 +1,6 @@
 //! The live-update oracle: interleave weight-update batches with queries
 //! and hold the *live* service — epoch swaps, incremental landmark
-//! repair, epoch-scoped cache and all — to a freshly built engine that
+//! repair, revalidating cache and all — to a freshly built engine that
 //! never saw an update.
 //!
 //! Per seeded round:
@@ -15,8 +15,14 @@
 //! 3. every algorithm × {landmarks, none} on the live service/epoch must
 //!    return a [`kpj_graph::PathSet`] bit-identical to a fresh engine
 //!    built from scratch on the updated graph;
-//! 4. the epoch-scoped cache must serve the *new* answer after the swap
-//!    (and hit on the repeat), never a stale pre-update entry;
+//! 4. the cache must hit on the repeat and never serve a stale answer. An
+//!    answer it computed on the new epoch is held to step 3's bit
+//!    identity. An answer it carried across the swap by revalidation
+//!    (told apart by the `kept` revalidation counter) is held to less,
+//!    because equal-length paths may tie differently than on a fresh
+//!    engine: its length vector must equal the fresh engine's, and every
+//!    path must be a valid simple path of the updated graph, from a source
+//!    to a target, with its reported length;
 //! 5. every exact target row the new epoch serves (built on a target
 //!    set's second sighting, then repaired with every batch) must be
 //!    **bit-identical** to a from-scratch `DenseDijkstra::to_targets`
@@ -34,14 +40,18 @@
 //! epoch's buffers or into a full copy of the current one. A seeded
 //! subset of rounds pins the current epoch across the next batch, which
 //! forces that batch onto the copy path; [`UpdatePaths`] reports how
-//! often each path ran, so a sweep can prove it checked both.
+//! often each path ran, so a sweep can prove it checked both, and how
+//! many cached answers the revalidation kept and rejected.
 
 use std::sync::Arc;
 
 use kpj_core::{Algorithm, KpjResult, QueryEngine};
-use kpj_graph::{Graph, GraphBuilder, Weight, WeightUpdate};
+use kpj_graph::{Graph, GraphBuilder, PathSet, Weight, WeightUpdate};
 use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
-use kpj_service::{GraphEpoch, KpjService, PoolConfig, QueryRequest, ServiceConfig};
+use kpj_service::cache::Verdict;
+use kpj_service::{
+    algorithm_index, GraphEpoch, KpjService, PoolConfig, QueryRequest, ServiceConfig,
+};
 use kpj_sp::DenseDijkstra;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +76,11 @@ pub struct UpdatePaths {
     pub copied: u64,
     /// Repaired target rows compared against a from-scratch row.
     pub rows: u64,
+    /// Cached answers revalidated across an update batch and served.
+    pub kept: u64,
+    /// Cached answers the revalidation rejected (on path, decrease, or
+    /// too old).
+    pub rejected: u64,
 }
 
 impl std::ops::AddAssign for UpdatePaths {
@@ -73,6 +88,8 @@ impl std::ops::AddAssign for UpdatePaths {
         self.reused += other.reused;
         self.copied += other.copied;
         self.rows += other.rows;
+        self.kept += other.kept;
+        self.rejected += other.rejected;
     }
 }
 
@@ -119,9 +136,12 @@ pub fn check_interleaving(seed: u64) -> Result<UpdatePaths, Violation> {
     // Decorrelate batch randomness from the generator's stream.
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
 
-    // Warm the caches so round 1 proves stale entries are unreachable.
+    // Warm the caches so round 1 revalidates an entry across its batch.
     run_live(&service, &case, Algorithm::ALL[0])?;
     run_live(&red_service, &case, Algorithm::ALL[0])?;
+    // Per algorithm: whether the service's cached answer was carried
+    // across a batch by revalidation rather than computed on its epoch.
+    let mut carried = [false; Algorithm::ALL.len()];
 
     // Pins on the epochs that were current before the previous round's
     // batch: while held, this round's batch cannot reuse their buffers.
@@ -196,7 +216,7 @@ pub fn check_interleaving(seed: u64) -> Result<UpdatePaths, Violation> {
         }
         paths.rows += check_rows(&epoch, &fresh, &tag)?;
 
-        check_round(&service, &case, &fresh, &rebuilt, &tag)?;
+        check_round(&service, &case, &fresh, &rebuilt, &mut carried, &tag)?;
 
         // The reduced mirror takes the SAME batch in original ids: the
         // service translates kept pairs to reduced edges and folds
@@ -234,10 +254,13 @@ pub fn check_interleaving(seed: u64) -> Result<UpdatePaths, Violation> {
 
 fn buffer_paths(service: &KpjService) -> UpdatePaths {
     let snapshot = service.snapshot();
+    let [kept, on_path, decrease, too_old] = snapshot.revalidations;
     UpdatePaths {
         reused: snapshot.buffers_reused,
         copied: snapshot.buffers_copied,
         rows: 0,
+        kept,
+        rejected: on_path + decrease + too_old,
     }
 }
 
@@ -322,43 +345,40 @@ fn check_reduced_round(
         let want = reference_engine(fresh, None, case, &live)
             .query_multi(alg, &case.sources, &case.targets, case.k)
             .map_err(|e| violation("fresh-error", tag(&format!("{label}: {e:?}"))))?;
-        let got = live.paths;
-        if got.lengths() != want.paths.lengths() {
-            return Err(violation(
-                "reduce-update-agreement",
-                tag(&format!(
-                    "{label}: live {:?} != fresh {:?}",
-                    got.lengths(),
-                    want.paths.lengths()
-                )),
-            ));
+        equivalent(&live.paths, &want.paths, fresh, case)
+            .map_err(|e| violation("reduce-update-agreement", tag(&format!("{label}: {e}"))))?;
+    }
+    Ok(())
+}
+
+/// The agreement that holds whichever of several equal-length paths an
+/// answer returns: `got` has `want`'s length vector, and its paths are
+/// distinct valid simple paths of `fresh` from a source to a target, each
+/// with its reported length.
+fn equivalent(
+    got: &PathSet,
+    want: &PathSet,
+    fresh: &Graph,
+    case: &OracleCase,
+) -> Result<(), String> {
+    if got.lengths() != want.lengths() {
+        return Err(format!(
+            "live {:?} != fresh {:?}",
+            got.lengths(),
+            want.lengths()
+        ));
+    }
+    let mut seen = std::collections::HashSet::new();
+    for (i, path) in got.iter().enumerate() {
+        path.validate(fresh)?;
+        if !path.is_simple()
+            || !case.sources.contains(&path.source())
+            || !case.targets.contains(&path.destination())
+        {
+            return Err(format!("bad path {i}: {:?}", path.nodes));
         }
-        let mut seen = std::collections::HashSet::new();
-        for (i, (pw, pg)) in want.paths.iter().zip(got.iter()).enumerate() {
-            if pg.nodes != pw.nodes {
-                let expanded = kpj_graph::Path {
-                    nodes: pg.nodes.to_vec(),
-                    length: pg.length,
-                };
-                expanded.validate(fresh).map_err(|e| {
-                    violation("reduce-update-agreement", tag(&format!("{label}: {e}")))
-                })?;
-                if !expanded.is_simple()
-                    || !case.sources.contains(&expanded.source())
-                    || !case.targets.contains(&expanded.destination())
-                {
-                    return Err(violation(
-                        "reduce-update-agreement",
-                        tag(&format!("{label}: bad expanded path {:?}", expanded.nodes)),
-                    ));
-                }
-            }
-            if !seen.insert(pg.nodes.to_vec()) {
-                return Err(violation(
-                    "reduce-update-agreement",
-                    tag(&format!("{label}: duplicate expanded path {i}")),
-                ));
-            }
+        if !seen.insert(path.nodes) {
+            return Err(format!("duplicate path {i}"));
         }
     }
     Ok(())
@@ -387,12 +407,15 @@ fn run_live(
 /// plain engine on the live epoch — with its repaired target row, if it
 /// serves one — without) must be bit-identical to a fresh engine on the
 /// reference graph given the same bounds, and the repeat must be a cache
-/// hit with the same answer.
+/// hit with the same answer. A service answer in `carried` (revalidated
+/// across a batch, not recomputed since) is held to [`equivalent`]
+/// instead.
 fn check_round(
     service: &KpjService,
     case: &OracleCase,
     fresh: &Graph,
     rebuilt: &LandmarkIndex,
+    carried: &mut [bool],
     tag: &dyn Fn(&str) -> String,
 ) -> Result<(), Violation> {
     let epoch = service.current_epoch();
@@ -404,15 +427,26 @@ fn check_round(
     for with_lm in [false, true] {
         for alg in Algorithm::ALL {
             let label = format!("{} landmarks={with_lm}", alg.name());
+            let mut revalidated = false;
             let got = if with_lm {
                 // Landmark side goes through the whole serving stack —
-                // epoch pin, cache key, pool — twice, proving the second
-                // answer (a cache hit) is the post-update one.
+                // epoch pin, cache lookup, pool — twice, proving the
+                // second answer (a cache hit) is the first one.
+                let before = service.snapshot();
                 let first = run_live(service, case, alg).map_err(|v| Violation {
                     invariant: v.invariant,
                     detail: tag(&v.detail),
                 })?;
-                let hits = service.snapshot().cache_hits;
+                let after = service.snapshot();
+                let slot = &mut carried[algorithm_index(alg)];
+                let kept = Verdict::Kept as usize;
+                if after.revalidations[kept] > before.revalidations[kept] {
+                    *slot = true;
+                } else if after.cache_misses > before.cache_misses {
+                    *slot = false;
+                }
+                revalidated = *slot;
+                let hits = after.cache_hits;
                 let second = run_live(service, case, alg).map_err(|v| Violation {
                     invariant: v.invariant,
                     detail: tag(&v.detail),
@@ -444,7 +478,14 @@ fn check_round(
                 .query_multi(alg, &case.sources, &case.targets, case.k)
                 .map_err(|e| violation("fresh-error", tag(&format!("{label}: {e:?}"))))?;
             let got = got.paths;
-            if got != want.paths {
+            if revalidated {
+                equivalent(&got, &want.paths, fresh, case).map_err(|e| {
+                    violation(
+                        "revalidated-agreement",
+                        tag(&format!("{label} (revalidated): {e}")),
+                    )
+                })?;
+            } else if got != want.paths {
                 return Err(violation(
                     "update-agreement",
                     tag(&format!(
@@ -472,10 +513,12 @@ mod tests {
                 Err(v) => panic!("seed {seed}: {v}"),
             }
         }
-        // Both buffer paths were checked, not just one, and repaired
-        // target rows were compared.
+        // Both buffer paths were checked, not just one, repaired target
+        // rows were compared, and the cache both kept and rejected
+        // answers across batches.
         assert!(paths.reused > 0 && paths.copied > 0, "{paths:?}");
         assert!(paths.rows > 0, "{paths:?}");
+        assert!(paths.kept > 0 && paths.rejected > 0, "{paths:?}");
     }
 
     #[test]

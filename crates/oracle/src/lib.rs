@@ -8,7 +8,7 @@
 //! | Module | Provides |
 //! |---|---|
 //! | [`generate`] | seeded random cases: road-like, social-like, chain-heavy (hub-and-corridor graphs that stress degree-2 contraction), and degenerate graphs (self-loops, parallel edges, disconnected components, near-`u32::MAX` weights) plus a query |
-//! | [`interleave`] | the live-update oracle: weight-update batches interleaved with queries; after every batch the live service (epoch swap + incremental landmark repair + epoch-scoped cache) must agree bit-for-bit with a freshly built engine — and a reduced mirror of the same service, fed the same batches, must agree after re-expansion |
+//! | [`interleave`] | the live-update oracle: weight-update batches interleaved with queries; after every batch the live service (epoch swap + incremental landmark repair + revalidating cache) must agree with a freshly built engine — bit-for-bit, or in lengths and path validity for a cached answer carried across the batch — and a reduced mirror of the same service, fed the same batches, must agree after re-expansion |
 //! | [`invariants`] | the checker: all engine algorithms × {landmarks, none} must agree, small instances must match the brute-force reference, and the full `kpj-service` wire path (JSON → pool → cache → JSON) must agree with the engine |
 //! | [`rows`] | the target-row differential (`kpj-fuzz --rows`): exact `d(v, V_T)` rows on vs off for every algorithm that reads target bounds, a row for another set ignored, and the serving path's sighting → build → read → repair cycle |
 //! | [`shrink`] | greedy domain-specific minimization of a failing case (driven by `proptest::shrink::minimize`) |

@@ -16,10 +16,11 @@
 //! (no reader can reach them any more), writes the next version into
 //! them instead of copying the current one (`KpjService::apply_update`).
 //!
-//! The epoch id is also the cache-coherence token: `CacheKey` includes
-//! it, so an answer computed on epoch `e` can only ever be returned to a
-//! request that pinned epoch `e` — stale answers are unreachable by
-//! construction, not by invalidation racing the swap (see DESIGN.md §14).
+//! The epoch id is also the cache-coherence token: a cached answer
+//! records the newest epoch it is known to be correct on, and a request
+//! that pinned a newer epoch is served it only after revalidating it
+//! against the update batches in between (the `cache` module, DESIGN.md
+//! §14).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

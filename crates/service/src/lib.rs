@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`pool`] | [`EnginePool`]: N worker threads, each owning a private [`kpj_core::QueryEngine`], fed from a bounded queue with reject-on-full admission control |
 //! | [`rows`] | [`TargetRows`]: exact `d(v, V_T)` rows for recurring target sets, built on a set's second sighting, held per epoch within [`ROW_BUDGET`] and repaired with every update |
-//! | [`cache`] | [`ResultCache`]: sharded LRU over completed results with single-flight deduplication of concurrent identical queries |
+//! | [`cache`] | [`ResultCache`]: sharded LRU over completed results with single-flight deduplication of concurrent identical queries on one epoch, serving an older epoch's answer only once it is revalidated against the update batches since |
 //! | [`service`] | [`KpjService`]: cache → pool → deadline → metrics composition, the one call-site the front-ends share |
 //! | [`metrics`] | [`Metrics`]: atomic counters, per-(algorithm, stage) latency histograms in a [`kpj_obs::StageRegistry`], per-algorithm engine [`kpj_core::QueryStats`] counters, the system-state [`kpj_obs::GaugeSet`] + structured [`kpj_obs::EventJournal`], Prometheus text exposition |
 //! | [`flight`] | [`FlightRecorder`]: dumps queries slower than a threshold as replayable `.kpjcase` files with their span traces |

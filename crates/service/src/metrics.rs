@@ -14,6 +14,8 @@ use kpj_core::{Algorithm, QueryStats};
 pub use kpj_obs::Histogram;
 use kpj_obs::{EventJournal, EventKind, GaugeSet, Stage, StageRegistry, MAX_EVENT_ARGS};
 
+use crate::cache::Verdict;
+
 /// Indices into [`QueryStats::FIELD_NAMES`] for the counters surfaced in
 /// [`MetricsSnapshot`]. Kept next to a compile-time length check so a
 /// reordering of the field table cannot silently skew the snapshot.
@@ -176,6 +178,9 @@ pub struct Metrics {
     cache_hits: AtomicU64,
     cache_shared: AtomicU64,
     cache_misses: AtomicU64,
+    /// Revalidations of cached answers across update batches, indexed by
+    /// [`Verdict`].
+    revalidations: [AtomicU64; 4],
     paths_returned: AtomicU64,
     /// Weight-update batches published as new graph epochs.
     epoch_swaps: AtomicU64,
@@ -223,6 +228,7 @@ impl Metrics {
             cache_hits: AtomicU64::new(0),
             cache_shared: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
+            revalidations: Default::default(),
             paths_returned: AtomicU64::new(0),
             epoch_swaps: AtomicU64::new(0),
             edges_updated: AtomicU64::new(0),
@@ -309,6 +315,12 @@ impl Metrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record how the revalidation of a cached answer across update
+    /// batches ended.
+    pub fn record_revalidation(&self, verdict: Verdict) {
+        self.revalidations[verdict as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Fold one query's engine-side stats into that algorithm's work
     /// counters.
     pub fn absorb_stats(&self, alg: Algorithm, s: &QueryStats) {
@@ -370,6 +382,18 @@ impl Metrics {
             ("edges_updated", self.edges_updated.load(Ordering::Relaxed)),
         ] {
             let _ = writeln!(out, "kpj_service_events_total{{event=\"{event}\"}} {value}");
+        }
+        out.push_str(
+            "# HELP kpj_cache_revalidations_total Cached answers from an older epoch judged against the update batches since, by verdict.\n\
+             # TYPE kpj_cache_revalidations_total counter\n",
+        );
+        for (verdict, counter) in Verdict::ALL.iter().zip(&self.revalidations) {
+            let _ = writeln!(
+                out,
+                "kpj_cache_revalidations_total{{verdict=\"{}\"}} {}",
+                verdict.name(),
+                counter.load(Ordering::Relaxed)
+            );
         }
         out.push_str(
             "# HELP kpj_update_buffers_total Published update batches by where the new epoch was written: the retired previous epoch's buffers (reused) or a full copy of the current one (copied).\n\
@@ -468,6 +492,7 @@ impl Metrics {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_shared: self.cache_shared.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            revalidations: std::array::from_fn(|i| self.revalidations[i].load(Ordering::Relaxed)),
             paths_returned: self.paths_returned.load(Ordering::Relaxed),
             epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
             edges_updated: self.edges_updated.load(Ordering::Relaxed),
@@ -522,6 +547,9 @@ pub struct MetricsSnapshot {
     pub cache_shared: u64,
     /// Cache misses.
     pub cache_misses: u64,
+    /// Revalidations of older-epoch cache entries, indexed by
+    /// [`Verdict`]: kept, on_path, decrease, too_old.
+    pub revalidations: [u64; 4],
     /// Total paths returned to clients.
     pub paths_returned: u64,
     /// Weight-update batches published as new graph epochs.
@@ -588,9 +616,10 @@ impl std::fmt::Display for MetricsSnapshot {
             "queries={} failures={} rejected={} deadline_exceeded={}",
             self.queries, self.failures, self.rejected, self.deadline_exceeded
         )?;
+        let [kept, on_path, decrease, too_old] = self.revalidations;
         writeln!(
             f,
-            "cache: hits={} shared={} misses={}",
+            "cache: hits={} shared={} misses={} revalidated: kept={kept} on_path={on_path} decrease={decrease} too_old={too_old}",
             self.cache_hits, self.cache_shared, self.cache_misses
         )?;
         writeln!(
@@ -709,10 +738,13 @@ mod tests {
         let m = Metrics::new();
         m.record_query(Duration::from_micros(5), true, 1);
         m.record_cache_miss();
+        m.record_revalidation(Verdict::Decrease);
         let mut text = String::new();
         m.render_prometheus(&mut text);
         assert!(text.contains("kpj_service_events_total{event=\"queries\"} 1"));
         assert!(text.contains("kpj_service_events_total{event=\"cache_misses\"} 1"));
+        assert!(text.contains("kpj_cache_revalidations_total{verdict=\"decrease\"} 1"));
+        assert!(text.contains("kpj_cache_revalidations_total{verdict=\"too_old\"} 0"));
         assert!(text.contains("kpj_stage_duration_seconds_bucket{algorithm=\"DA\""));
     }
 }

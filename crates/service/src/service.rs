@@ -3,18 +3,20 @@
 //! registry. The TCP server and the in-process batch API are both thin
 //! wrappers over [`KpjService::execute`].
 
-use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::VecDeque;
+use std::fmt::Write;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use kpj_core::{KpjResult, QueryError};
+use kpj_core::{KpjResult, QueryError, SourceLb, TargetsLb};
 use kpj_graph::{
-    EdgeDelta, Graph, IdTranslation, NodeRemap, Reduction, TranslateError, WeightUpdate,
+    EdgeDelta, Graph, IdTranslation, Length, NodeId, NodeRemap, PathSet, Reduction, TranslateError,
+    WeightUpdate,
 };
 use kpj_landmark::LandmarkIndex;
 use kpj_obs::Stage;
 
-use crate::cache::{CacheKey, Lookup, ResultCache};
+use crate::cache::{CacheKey, Lookup, ResultCache, Verdict, RING_BATCHES};
 use crate::epoch::GraphEpoch;
 use crate::flight::FlightRecorder;
 use crate::metrics::{algorithm_index, event, gauge, Metrics, MetricsSnapshot};
@@ -32,6 +34,9 @@ use crate::ServiceError;
 /// very same bytes. A cache hit therefore copies no paths at all: not into
 /// a result clone (the `Arc` is shared) and not into an encoder (the body
 /// string is shared too).
+///
+/// It also memoizes its served-graph arcs, which the cache's
+/// revalidation across update batches reads.
 pub struct Answer {
     result: KpjResult,
     /// When the graph was locality-reordered at rest (v2 storage), path
@@ -40,6 +45,8 @@ pub struct Answer {
     remap: Option<Arc<NodeRemap>>,
     /// Lazily rendered body fields, `[without paths, with paths]`.
     body: [OnceLock<String>; 2],
+    /// Lazily collected [`served_arcs`](Answer::served_arcs).
+    arcs: OnceLock<Box<[(NodeId, NodeId)]>>,
 }
 
 impl Answer {
@@ -50,11 +57,15 @@ impl Answer {
 
     /// Wrap a result computed on a reordered graph; `remap` translates
     /// its internal path nodes back to external ids on the wire.
-    pub fn with_remap(result: KpjResult, remap: Option<Arc<NodeRemap>>) -> Answer {
+    pub fn with_remap(mut result: KpjResult, remap: Option<Arc<NodeRemap>>) -> Answer {
+        // The path buffers grew by doubling; an answer the cache keeps
+        // for many batches should not carry that slack.
+        result.paths.shrink_to_fit();
         Answer {
             result,
             remap,
             body: [OnceLock::new(), OnceLock::new()],
+            arcs: OnceLock::new(),
         }
     }
 
@@ -71,43 +82,94 @@ impl Answer {
         self.body[usize::from(want_paths)].get_or_init(|| self.render_body(want_paths))
     }
 
-    /// Serialize by walking the flat path storage directly — no
-    /// intermediate owned paths, no JSON value tree.
-    fn render_body(&self, want_paths: bool) -> String {
-        let paths = &self.result.paths;
-        let mut out = String::with_capacity(64 + paths.total_nodes() * 4);
-        write!(out, "\"count\":{}", paths.len()).unwrap();
-        out.push_str(",\"lengths\":[");
-        for (i, p) in paths.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(out, "{}", p.length).unwrap();
-        }
-        out.push(']');
-        if want_paths {
-            out.push_str(",\"paths\":[");
-            for (i, p) in paths.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (j, &n) in p.nodes.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
+    /// The distinct arcs of the served graph the answer's paths use,
+    /// sorted. Path nodes are engine ids, except on a reduced graph
+    /// (`reduction`), where paths come back expanded to original ids: there
+    /// the arcs join consecutive nodes the reduction kept, and chain
+    /// interiors are skipped. Collected on first use and kept.
+    pub fn served_arcs(&self, reduction: Option<&Reduction>) -> &[(NodeId, NodeId)] {
+        self.arcs.get_or_init(|| {
+            let mut arcs = Vec::new();
+            for path in self.result.paths.iter() {
+                let mut prev = None;
+                for &node in path.nodes {
+                    let Some(v) = reduction.map_or(Some(node), |r| r.to_reduced(node)) else {
+                        continue;
+                    };
+                    if let Some(u) = prev {
+                        arcs.push((u, v));
                     }
-                    let n = self.remap.as_ref().map_or(n, |r| r.to_external(n));
-                    write!(out, "{n}").unwrap();
+                    prev = Some(v);
                 }
-                out.push(']');
             }
-            out.push(']');
-        }
+            arcs.sort_unstable();
+            arcs.dedup();
+            arcs.into_boxed_slice()
+        })
+    }
+
+    /// Serialize by walking the flat path storage directly — no
+    /// intermediate owned paths, no JSON value tree. The body is written
+    /// twice, first only to measure it, so that its buffer is allocated
+    /// once at its exact size: a cached body carries no slack, and no
+    /// reallocation leaves a fragment behind (shrinking a grown buffer
+    /// did, and measurably slowed the cache-hit path).
+    fn render_body(&self, want_paths: bool) -> String {
         // One serializer for every QueryStats field — the wire `stats`
         // block and the metrics registry can never drift apart again.
-        out.push_str(",\"stats\":");
-        self.result.stats.write_json(&mut out);
+        let mut stats = String::new();
+        self.result.stats.write_json(&mut stats);
+        let mut size = ByteCount(0);
+        self.write_body(&mut size, want_paths, &stats)
+            .expect("counting cannot fail");
+        let mut out = String::with_capacity(size.0);
+        self.write_body(&mut out, want_paths, &stats)
+            .expect("writing to a String cannot fail");
+        debug_assert_eq!(out.len(), size.0);
         out
+    }
+
+    fn write_body(&self, out: &mut impl Write, want_paths: bool, stats: &str) -> std::fmt::Result {
+        let paths = &self.result.paths;
+        write!(out, "\"count\":{}", paths.len())?;
+        out.write_str(",\"lengths\":[")?;
+        for (i, p) in paths.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            write!(out, "{}", p.length)?;
+        }
+        out.write_char(']')?;
+        if want_paths {
+            out.write_str(",\"paths\":[")?;
+            for (i, p) in paths.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                out.write_char('[')?;
+                for (j, &n) in p.nodes.iter().enumerate() {
+                    if j > 0 {
+                        out.write_char(',')?;
+                    }
+                    let n = self.remap.as_ref().map_or(n, |r| r.to_external(n));
+                    write!(out, "{n}")?;
+                }
+                out.write_char(']')?;
+            }
+            out.write_char(']')?;
+        }
+        out.write_str(",\"stats\":")?;
+        out.write_str(stats)
+    }
+}
+
+/// A [`Write`] sink that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -177,6 +239,83 @@ pub struct KpjService {
     /// one's epoch) and holds the previous epoch's buffers for the next
     /// batch to write over. Queries never take this lock.
     updater: Mutex<Option<Spare>>,
+    /// The deltas of the last [`RING_BATCHES`] published batches, which
+    /// cached answers from older epochs are revalidated against.
+    ring: RwLock<DeltaRing>,
+}
+
+/// The served-graph deltas of the last [`RING_BATCHES`] published
+/// batches, oldest first. Holds no epoch: an entry that pinned one would
+/// keep the update double buffer's spare from ever retiring.
+#[derive(Default)]
+struct DeltaRing {
+    /// `(epoch, deltas)`: the batch that turned epoch `epoch - 1` into
+    /// `epoch`. Epoch ids are consecutive.
+    batches: VecDeque<(u64, Vec<EdgeDelta>)>,
+}
+
+impl DeltaRing {
+    fn push(&mut self, epoch: u64, deltas: Vec<EdgeDelta>) {
+        if self.batches.len() == RING_BATCHES as usize {
+            self.batches.pop_front();
+        }
+        self.batches.push_back((epoch, deltas));
+    }
+
+    /// Every delta of the batches that lead from epoch `from` to epoch
+    /// `to`, or `None` when the ring does not hold all of them.
+    fn between(&self, from: u64, to: u64) -> Option<impl Iterator<Item = &EdgeDelta> + Clone> {
+        let first = self.batches.front()?.0;
+        let last = self.batches.back()?.0;
+        if from >= to || from + 1 < first || to > last {
+            return None;
+        }
+        let range = (from + 1 - first) as usize..(to + 1 - first) as usize;
+        Some(self.batches.range(range).flat_map(|(_, deltas)| deltas))
+    }
+}
+
+/// The revalidation rule (DESIGN.md §14). An answer that was a top-k
+/// before `deltas` is still one after them when
+///
+/// * (a) no changed arc lies on its paths (`arcs`, sorted), so every
+///   path kept its length, and
+/// * (b) every arc `(u, v)` that got cheaper can only carry paths at least
+///   as long as the k-th: `through(d) = lb(S, u) + w' + lb(v, V_T) ≥ L_k`.
+///
+/// Arcs that got dearer and lie on no answer path only lengthen other
+/// paths. An answer with fewer than `k` paths fails (b) on any cheaper
+/// arc, which errs on the safe side. `bounds` builds `through` and runs
+/// only when some arc got cheaper.
+fn judge<'d, B>(
+    arcs: &[(NodeId, NodeId)],
+    paths: &PathSet,
+    k: usize,
+    deltas: impl Iterator<Item = &'d EdgeDelta> + Clone,
+    bounds: impl FnOnce() -> B,
+) -> Verdict
+where
+    B: Fn(&EdgeDelta) -> Length,
+{
+    if deltas
+        .clone()
+        .any(|d| arcs.binary_search(&(d.from, d.to)).is_ok())
+    {
+        return Verdict::OnPath;
+    }
+    let mut cheaper = deltas.filter(|d| d.new_weight < d.old_weight).peekable();
+    if cheaper.peek().is_none() {
+        return Verdict::Kept;
+    }
+    let Some(kth) = paths.last().filter(|_| paths.len() >= k) else {
+        return Verdict::Decrease;
+    };
+    let through = bounds();
+    if cheaper.all(|d| through(d) >= kth.length) {
+        Verdict::Kept
+    } else {
+        Verdict::Decrease
+    }
 }
 
 /// The second buffer of the update double buffer: the epoch before the
@@ -200,6 +339,31 @@ struct Spare {
     rows: Vec<RowSpare>,
 }
 
+/// How long an update batch waits for the last pins on the spare's epoch
+/// to drop before it copies the current epoch instead. A query still
+/// running there is usually close to done (in road-churn runs on a
+/// 2-vCPU host every wait ended within 2.5 ms), while a copy costs
+/// several ms and leaves its freed buffers behind in the allocator: each
+/// one raised road-churn's resident memory for good.
+const SPARE_GRACE: Duration = Duration::from_millis(5);
+
+impl Spare {
+    /// Wait up to [`SPARE_GRACE`] for the spare's epoch to retire, that
+    /// is, for the spare to hold the only reference to its graph. A
+    /// memory-mapped graph is never written into, so it is not waited
+    /// for.
+    fn await_retired(self) -> Spare {
+        let deadline = Instant::now() + SPARE_GRACE;
+        while self.graph.is_owned()
+            && Arc::strong_count(&self.graph) > 1
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        self
+    }
+}
+
 /// What a published weight-update batch did, as reported to the client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateOutcome {
@@ -213,7 +377,8 @@ pub struct UpdateOutcome {
     /// Nodes whose distance was recomputed, summed over landmark and
     /// target rows.
     pub affected_nodes: u64,
-    /// Completed cache entries from older epochs reaped at publish.
+    /// Completed cache entries reaped at publish because they fell more
+    /// than the delta ring's length behind.
     pub cache_purged: usize,
 }
 
@@ -271,6 +436,7 @@ impl KpjService {
             flight,
             translation,
             updater: Mutex::new(None),
+            ring: RwLock::new(DeltaRing::default()),
         }
     }
 
@@ -400,20 +566,23 @@ impl KpjService {
         let translate_us = translate_started.elapsed().as_micros() as u64;
         // `try_unwrap` succeeds exactly when the spare's epoch has retired:
         // the epoch and its pins were the only other owners.
-        let (spare_graph, spare_landmarks, stale, mut journal, spare_rows) =
-            match spare_slot.take().filter(|spare| spare.current == base.id()) {
-                Some(spare) => (
-                    Arc::try_unwrap(spare.graph).ok().filter(Graph::is_owned),
-                    spare
-                        .landmarks
-                        .and_then(|index| Arc::try_unwrap(index).ok())
-                        .filter(|index| !index.is_mapped()),
-                    spare.deltas,
-                    spare.journal,
-                    spare.rows,
-                ),
-                None => (None, None, Vec::new(), Vec::new(), Vec::new()),
-            };
+        let (spare_graph, spare_landmarks, stale, mut journal, spare_rows) = match spare_slot
+            .take()
+            .filter(|spare| spare.current == base.id())
+            .map(Spare::await_retired)
+        {
+            Some(spare) => (
+                Arc::try_unwrap(spare.graph).ok().filter(Graph::is_owned),
+                spare
+                    .landmarks
+                    .and_then(|index| Arc::try_unwrap(index).ok())
+                    .filter(|index| !index.is_mapped()),
+                spare.deltas,
+                spare.journal,
+                spare.rows,
+            ),
+            None => (None, None, Vec::new(), Vec::new(), Vec::new()),
+        };
         let reused =
             spare_graph.is_some() && (base.landmarks().is_none() || spare_landmarks.is_some());
         // A rejected batch drops the spare; the next one copies.
@@ -457,9 +626,16 @@ impl KpjService {
         let repair = repair_started.elapsed();
         let changed = deltas.len();
         let reduction = next_reduction.or_else(|| base.reduction().cloned());
+        // The batch joins the ring before its epoch publishes, so a query
+        // pinned on the new epoch always finds it.
+        self.ring
+            .write()
+            .expect("delta ring lock poisoned")
+            .push(base.id() + 1, deltas.clone());
         let epoch = self
             .pool
             .publish(Arc::new(graph), landmarks, reduction, rows, changed);
+        debug_assert_eq!(epoch.id(), base.id() + 1, "batches publish one at a time");
         self.metrics
             .gauges()
             .set(gauge::TARGET_ROWS, epoch.rows().len() as i64);
@@ -472,8 +648,7 @@ impl KpjService {
             journal,
             rows: row_spares,
         });
-        // Entries keyed to older epochs are already unreachable (the
-        // epoch id is part of the cache key); reap them eagerly.
+        // Entries the ring no longer covers can never be served again.
         let purge_started = Instant::now();
         let cache_purged = self
             .cache
@@ -557,21 +732,22 @@ impl KpjService {
         let Some(cache) = &self.cache else {
             return self.compute_recorded(request, started, self.pool.epochs().pin());
         };
+        let key = CacheKey::new(
+            request.algorithm,
+            &request.sources,
+            &request.targets,
+            request.k,
+        );
         for _ in 0..=SHARED_RETRIES {
             // Pin the epoch per attempt (a retry after a failed shared
-            // flight should run on the *current* graph) and scope the
-            // cache key to it: the answer served can only ever come from
-            // the graph version this request was admitted on.
+            // flight should run on the *current* graph). The answer served
+            // is always a correct one on this epoch: computed on it, or
+            // revalidated across the batches since it was.
             let epoch = self.pool.epochs().pin();
-            let key = CacheKey::new(
-                epoch.id(),
-                request.algorithm,
-                &request.sources,
-                &request.targets,
-                request.k,
-            );
             let probe = Instant::now();
-            let looked = cache.lookup(&key);
+            let looked = cache.lookup(&key, epoch.id(), |answer, valid_at| {
+                self.revalidate(&key, answer, valid_at, &epoch)
+            });
             self.metrics
                 .record_stage(request.algorithm, Stage::CacheLookup, probe.elapsed());
             match looked {
@@ -617,8 +793,43 @@ impl KpjService {
         ))
     }
 
-    /// Run on the pool (pinned to `epoch`, the same one the cache key was
-    /// scoped to) and fold the outcome into the metrics.
+    /// Judge a cached `answer`, correct on epoch `valid_at`, against the
+    /// ring's batches up to the pinned `epoch`, with that epoch's lower
+    /// bounds: its landmarks from the sources, and its exact row for the
+    /// target set where one is held, else its landmarks. Runs with no
+    /// cache lock held.
+    fn revalidate(
+        &self,
+        key: &CacheKey,
+        answer: &Answer,
+        valid_at: u64,
+        epoch: &GraphEpoch,
+    ) -> Verdict {
+        let ring = self.ring.read().expect("delta ring lock poisoned");
+        let Some(deltas) = ring.between(valid_at, epoch.id()) else {
+            return Verdict::TooOld;
+        };
+        let arcs = answer.served_arcs(self.translation.reduction().map(|r| &**r));
+        let row = epoch.rows().lookup(key.targets());
+        judge(arcs, &answer.paths, key.k(), deltas, || {
+            let landmarks = epoch.landmarks().map(|index| &**index);
+            let from_sources = SourceLb::new(landmarks, key.sources());
+            let to_targets = match (&row, landmarks) {
+                (Some(row), _) => TargetsLb::Exact(row.dist()),
+                (None, Some(index)) => TargetsLb::Alt(index.for_targets(key.targets())),
+                (None, None) => TargetsLb::Zero,
+            };
+            move |d: &EdgeDelta| {
+                from_sources
+                    .lb(d.from)
+                    .saturating_add(Length::from(d.new_weight))
+                    .saturating_add(to_targets.lb(d.to))
+            }
+        })
+    }
+
+    /// Run on the pool (pinned to `epoch`, the one the request pinned for
+    /// its cache lookup) and fold the outcome into the metrics.
     fn compute_recorded(
         &self,
         request: &QueryRequest,
@@ -704,5 +915,160 @@ struct RepairQueueGuard<'a>(&'a Metrics);
 impl Drop for RepairQueueGuard<'_> {
     fn drop(&mut self) {
         self.0.gauges().add(gauge::REPAIR_QUEUE, -1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kpj_core::Algorithm;
+    use kpj_graph::GraphBuilder;
+
+    /// `0→1→5` (length 2), `0→2→5` (4), `0→3→4→5` (30), and an arc
+    /// `6→7` no path from 0 reaches.
+    fn service() -> KpjService {
+        let mut b = GraphBuilder::new(8);
+        for (u, v, w) in [
+            (0, 1, 1),
+            (1, 5, 1),
+            (0, 2, 2),
+            (2, 5, 2),
+            (0, 3, 10),
+            (3, 4, 10),
+            (4, 5, 10),
+            (6, 7, 1),
+        ] {
+            b.add_edge(u, v, w).unwrap();
+        }
+        let config = ServiceConfig {
+            pool: PoolConfig {
+                workers: 1,
+                queue_capacity: 8,
+                ..Default::default()
+            },
+            cache_capacity: 16,
+            ..ServiceConfig::default()
+        };
+        KpjService::new(Arc::new(b.build()), None, config)
+    }
+
+    /// The top-2 lengths from 0 to 5.
+    fn top2(svc: &KpjService) -> Vec<Length> {
+        let request = QueryRequest {
+            algorithm: Algorithm::IterBound,
+            sources: vec![0],
+            targets: vec![5],
+            k: 2,
+            timeout_ms: None,
+        };
+        svc.execute(&request).unwrap().paths.lengths()
+    }
+
+    fn update(svc: &KpjService, edges: &[(NodeId, NodeId, u32)]) {
+        let updates: Vec<WeightUpdate> = edges
+            .iter()
+            .map(|&(from, to, weight)| WeightUpdate { from, to, weight })
+            .collect();
+        svc.apply_update(&updates).unwrap();
+    }
+
+    /// `[kept, on_path, decrease, too_old]` and the cache misses so far.
+    fn counts(svc: &KpjService) -> ([u64; 4], u64) {
+        let s = svc.snapshot();
+        (s.revalidations, s.cache_misses)
+    }
+
+    #[test]
+    fn an_untouched_answer_is_kept_across_batches() {
+        let svc = service();
+        assert_eq!(top2(&svc), [2, 4]);
+        // Dearer off-path arc, then a cheaper one that still cannot
+        // undercut L_k = 4 (w' = 5 with zero bounds on either side).
+        update(&svc, &[(0, 3, 20)]);
+        update(&svc, &[(3, 4, 5)]);
+        assert_eq!(top2(&svc), [2, 4]);
+        assert_eq!(counts(&svc), ([1, 0, 0, 0], 1));
+        // Re-stamped: a repeat on the same epoch is a plain hit.
+        assert_eq!(top2(&svc), [2, 4]);
+        assert_eq!(counts(&svc), ([1, 0, 0, 0], 1));
+    }
+
+    #[test]
+    fn a_change_on_an_answer_path_is_rejected() {
+        let svc = service();
+        assert_eq!(top2(&svc), [2, 4]);
+        update(&svc, &[(6, 7, 3)]);
+        update(&svc, &[(1, 5, 3)]);
+        assert_eq!(top2(&svc), [4, 4]);
+        assert_eq!(counts(&svc), ([0, 1, 0, 0], 2));
+    }
+
+    #[test]
+    fn a_decrease_that_may_undercut_the_kth_path_is_rejected() {
+        let svc = service();
+        assert_eq!(top2(&svc), [2, 4]);
+        update(&svc, &[(0, 3, 0), (3, 4, 0), (4, 5, 1)]);
+        assert_eq!(top2(&svc), [1, 2]);
+        assert_eq!(counts(&svc), ([0, 0, 1, 0], 2));
+    }
+
+    #[test]
+    fn an_answer_outlives_exactly_the_ring() {
+        let svc = service();
+        assert_eq!(top2(&svc), [2, 4]);
+        // Every batch makes the off-path arc dearer.
+        let mut weight = 1;
+        let mut churn = |batches: u64| {
+            for _ in 0..batches {
+                weight += 1;
+                update(&svc, &[(6, 7, weight)]);
+            }
+        };
+        // RING_BATCHES batches later the entry still revalidates...
+        churn(RING_BATCHES);
+        assert_eq!(svc.cache().unwrap().len(), 1);
+        assert_eq!(top2(&svc), [2, 4]);
+        assert_eq!(counts(&svc), ([1, 0, 0, 0], 1));
+        // ...one more unread batch than that and publish reaps it.
+        churn(RING_BATCHES + 1);
+        assert!(svc.cache().unwrap().is_empty());
+        assert_eq!(top2(&svc), [2, 4]);
+        assert_eq!(counts(&svc), ([1, 0, 0, 0], 2));
+    }
+
+    #[test]
+    fn judge_reads_the_bounds_only_for_a_cheaper_arc() {
+        let mut paths = PathSet::new();
+        paths.push(&[0, 1, 5], 2);
+        paths.push(&[0, 2, 5], 4);
+        let arcs = [(0, 1), (0, 2), (1, 5), (2, 5)];
+        let delta = |from, to, old_weight, new_weight| EdgeDelta {
+            from,
+            to,
+            old_weight,
+            new_weight,
+        };
+        let no_bounds = || -> fn(&EdgeDelta) -> Length { panic!("bounds built") };
+        let dearer = [delta(0, 3, 10, 20)];
+        assert_eq!(
+            judge(&arcs, &paths, 2, dearer.iter(), no_bounds),
+            Verdict::Kept
+        );
+        let on_path = [delta(0, 3, 10, 20), delta(2, 5, 2, 9)];
+        assert_eq!(
+            judge(&arcs, &paths, 2, on_path.iter(), no_bounds),
+            Verdict::OnPath
+        );
+        let cheaper = [delta(3, 4, 10, 1)];
+        // lb(S,3) + 1 + lb(4,T) against L_k = 4.
+        for (lb, verdict) in [(3, Verdict::Kept), (2, Verdict::Decrease)] {
+            let through = || move |d: &EdgeDelta| lb + Length::from(d.new_weight);
+            assert_eq!(judge(&arcs, &paths, 2, cheaper.iter(), through), verdict);
+        }
+        // Fewer than k paths: any cheaper arc fails.
+        assert_eq!(
+            judge(&arcs, &paths, 3, cheaper.iter(), no_bounds),
+            Verdict::Decrease
+        );
     }
 }

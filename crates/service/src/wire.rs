@@ -35,6 +35,7 @@ use kpj_core::{Algorithm, QueryError};
 use kpj_graph::{NodeId, Weight, WeightUpdate};
 use kpj_obs::Stage;
 
+use crate::cache::Verdict;
 use crate::json::Json;
 use crate::metrics::gauge;
 use crate::pool::QueryRequest;
@@ -328,6 +329,16 @@ fn status_response(service: &KpjService, id: Json) -> String {
         ("hits".to_string(), Json::from(s.cache_hits)),
         ("shared".to_string(), Json::from(s.cache_shared)),
         ("misses".to_string(), Json::from(s.cache_misses)),
+        (
+            "revalidated".to_string(),
+            Json::Obj(
+                Verdict::ALL
+                    .iter()
+                    .zip(s.revalidations)
+                    .map(|(verdict, n)| (verdict.name().to_string(), Json::from(n)))
+                    .collect(),
+            ),
+        ),
         ("shards".to_string(), Json::Arr(shards)),
     ]);
     let storage = Json::Obj(vec![
@@ -757,10 +768,11 @@ mod tests {
         assert_eq!(v.get("changed").unwrap().as_u64(), Some(1));
 
         // The identical query must NOT be served from the epoch-0 cache
-        // entry: the key is epoch-scoped, so it recomputes on the new
-        // graph and the long route wins.
+        // entry: the batch changed an arc on its path, so revalidation
+        // rejects it, the query recomputes on the new graph and the long
+        // route wins.
         assert_eq!(lengths(&handle_line(&svc, query)), vec![4]);
-        // ...and caches under epoch 1: a repeat is a hit.
+        // ...and caches as valid on epoch 1: a repeat is a hit.
         assert_eq!(lengths(&handle_line(&svc, query)), vec![4]);
         assert_eq!(svc.snapshot().cache_hits, 1);
         assert_eq!(svc.snapshot().epoch_swaps, 1);
@@ -810,9 +822,13 @@ mod tests {
         assert_eq!(pool.get("workers").unwrap().as_u64(), Some(1));
         assert_eq!(pool.get("queue_depth").unwrap().as_u64(), Some(0));
         assert_eq!(pool.get("executed").unwrap().as_u64(), Some(2));
-        // One entry survives on the current epoch (the post-update query).
+        // The update re-weighted an arc of the cached answer: the repeat
+        // rejected it and recomputed, leaving one entry on the new epoch.
         let cache = status.get("cache").unwrap();
         assert_eq!(cache.get("entries").unwrap().as_u64(), Some(1));
+        let revalidated = cache.get("revalidated").unwrap();
+        assert_eq!(revalidated.get("on_path").unwrap().as_u64(), Some(1));
+        assert_eq!(revalidated.get("kept").unwrap().as_u64(), Some(0));
         assert_eq!(cache.get("shards").unwrap().as_arr().unwrap().len(), 16);
         assert_eq!(
             status

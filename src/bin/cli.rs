@@ -758,6 +758,14 @@ fn render_status(out: &mut String, addr: &str, s: &kpj::service::json::Json, rat
     );
     let _ = writeln!(
         out,
+        "         revalidated kept={} on_path={} decrease={} too_old={}",
+        u(&["cache", "revalidated", "kept"]),
+        u(&["cache", "revalidated", "on_path"]),
+        u(&["cache", "revalidated", "decrease"]),
+        u(&["cache", "revalidated", "too_old"]),
+    );
+    let _ = writeln!(
+        out,
         "storage  mmap_bytes={} expand_hops={}",
         u(&["storage", "mmap_bytes"]),
         u(&["storage", "expand_hops"]),
