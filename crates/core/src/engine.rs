@@ -1123,6 +1123,13 @@ impl SubspaceOracle for SptiOracle<'_, '_> {
             .grow(self.g, tau, self.target_set, self.to_targets, stats);
     }
 
+    /// `SPT_I`'s size: every settled node turns its `lb_num` from the
+    /// landmark bound into the (never smaller) exact `d_s`. Node ids are
+    /// `u32`, so the size fits.
+    fn generation(&self) -> u32 {
+        self.store.len() as u32
+    }
+
     fn spt_nodes(&self) -> usize {
         self.store.len()
     }

@@ -7,7 +7,11 @@
 //!   subspace is first probed with `TestLB` under an iteratively enlarged
 //!   threshold τ (`τ' = max(⌈α·base⌉, base+1)` with
 //!   `base = max(lb(S), Q.top().key)`), so full shortest-path searches are
-//!   replaced by cheap bounded probes wherever possible.
+//!   replaced by cheap bounded probes wherever possible. One deviation
+//!   from the paper (DESIGN.md): when the oracle's bounds have grown since
+//!   the subspace was keyed — `SPT_I` only — its `CompLB` is recomputed
+//!   before the probe, and a risen bound sends it back to the queue
+//!   unprobed.
 //!
 //! Both are generic over a [`SubspaceOracle`], which supplies the numeric
 //! one-hop bounds for `CompLB`, the per-node [`Estimate`]s for the
@@ -16,9 +20,9 @@
 //! `IterBound`, `IterBound-SPT_P`, `IterBound-SPT_I` and all their
 //! no-landmark variants share one implementation each.
 //!
-//! The subspace queue holds `(vertex, Option<FoundPath>)` entries —
-//! Copy arena handles, not node vectors — and is pooled on the engine
-//! scratch, so the paradigm loops allocate nothing at steady state.
+//! The subspace queue holds [`QueueEntry`] triples — Copy arena handles,
+//! not node vectors — and is pooled on the engine scratch, so the
+//! paradigm loops allocate nothing at steady state.
 
 use kpj_graph::{Length, NodeId, PathStore, INFINITE_LENGTH};
 use kpj_heap::MinHeap;
@@ -27,8 +31,8 @@ use kpj_sp::Estimate;
 
 use crate::pseudo_tree::{PseudoTree, VertexId, ROOT};
 use crate::search_core::{
-    comp_lb, divide_subspace, emit_found, subspace_search, FoundPath, PathSink, SubspaceCtx,
-    SubspaceScratch, SubspaceSearch,
+    comp_lb, divide_subspace, emit_found, subspace_search, FoundPath, PathSink, QueueEntry,
+    SubspaceCtx, SubspaceScratch, SubspaceSearch,
 };
 use crate::stats::QueryStats;
 
@@ -42,6 +46,12 @@ pub(crate) trait SubspaceOracle {
     /// Grow incremental structures so that every path of length ≤ `tau` is
     /// covered (no-op except for `SPT_I`).
     fn prepare_tau(&mut self, _tau: Length, _stats: &mut QueryStats) {}
+    /// A stamp that changes whenever [`lb_num`](Self::lb_num) may have
+    /// risen: a `CompLB` computed at an older generation can be re-keyed
+    /// tighter. Constant (0) for oracles whose bounds never change.
+    fn generation(&self) -> u32 {
+        0
+    }
     /// Size of the oracle's SPT, for [`QueryStats::spt_nodes`].
     fn spt_nodes(&self) -> usize {
         0
@@ -68,11 +78,6 @@ impl<F: Fn(NodeId) -> Length> SubspaceOracle for PlainOracle<F> {
     }
 }
 
-/// The queue entry: a subspace with either its known shortest path or just
-/// a lower bound (the paper's `⟨S, lb(S), P⟩` triple; the key lives in the
-/// heap).
-type Entry = (VertexId, Option<FoundPath>);
-
 /// Search the subspace at `vertex` once (`bound = None` for the
 /// best-first paradigm's unbounded `CompSP`, `Some(τ)` for iter-bound's
 /// `TestLB` probe) and push the outcome back. Returns `true` if the search
@@ -86,7 +91,7 @@ fn search_and_push<O: SubspaceOracle>(
     oracle: &O,
     vertex: VertexId,
     bound: Option<Length>,
-    q: &mut MinHeap<Length, Entry>,
+    q: &mut MinHeap<Length, QueueEntry>,
     stats: &mut QueryStats,
 ) -> bool {
     match subspace_search(
@@ -99,11 +104,11 @@ fn search_and_push<O: SubspaceOracle>(
         bound,
         stats,
     ) {
-        SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f))),
+        SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f), oracle.generation())),
         SubspaceSearch::Bounded => {
             q.push(
                 bound.expect("bounded outcome implies a bound"),
-                (vertex, None),
+                (vertex, None, oracle.generation()),
             );
         }
         SubspaceSearch::Empty => {}
@@ -128,14 +133,14 @@ pub(crate) fn run_best_first<O: SubspaceOracle>(
     q.clear();
     let lb0 = comp_lb(ctx, scratch, tree, ROOT, &mut |v| oracle.lb_num(v), stats);
     if lb0 != INFINITE_LENGTH {
-        q.push(lb0, (ROOT, None));
+        q.push(lb0, (ROOT, None, oracle.generation()));
     }
     let mut more = true;
     while more {
         if ctx.deadline.expired() {
             break;
         }
-        let Some((_, (vertex, payload))) = q.pop() else {
+        let Some((_, (vertex, payload, _))) = q.pop() else {
             break;
         };
         stats.heap_pops += 1;
@@ -207,14 +212,14 @@ pub(crate) fn run_iter_bound<O: SubspaceOracle>(
     };
     let mut q = std::mem::take(&mut scratch.para_heap);
     q.clear();
-    q.push(first.length, (ROOT, Some(first)));
+    q.push(first.length, (ROOT, Some(first), oracle.generation()));
 
     let mut more = true;
     while more {
         if ctx.deadline.expired() {
             break;
         }
-        let Some((key, (vertex, payload))) = q.pop() else {
+        let Some((key, (vertex, payload, keyed_at))) = q.pop() else {
             break;
         };
         stats.heap_pops += 1;
@@ -244,6 +249,25 @@ pub(crate) fn run_iter_bound<O: SubspaceOracle>(
                 let tick = scratch.trace.start();
                 oracle.prepare_tau(tau, stats);
                 scratch.trace.record(Stage::SptBuild, tick);
+                // Re-key (not in Alg. 4): a key computed before the
+                // oracle's bounds last grew may be loose — under SPT_I,
+                // Alg. 8 line 5–6 keys most deviations of the first
+                // division on the landmark bound lb(s, x), which the
+                // exact d_s(x) of the grown tree dominates. The new bound
+                // is still a lower bound on the subspace, and keys only
+                // rise, so the loop still terminates.
+                let generation = oracle.generation();
+                if keyed_at != generation {
+                    let lb = comp_lb(ctx, scratch, tree, vertex, &mut |x| oracle.lb_num(x), stats);
+                    if lb == INFINITE_LENGTH {
+                        stats.subspaces_skipped += 1;
+                        continue;
+                    }
+                    if lb > key {
+                        q.push(lb, (vertex, None, generation));
+                        continue;
+                    }
+                }
                 // One TestLB probe under τ.
                 if search_and_push(
                     ctx,
@@ -284,7 +308,7 @@ fn emit<O: SubspaceOracle>(
     tree: &mut PseudoTree,
     oracle: &mut O,
     found: FoundPath,
-    q: &mut MinHeap<Length, Entry>,
+    q: &mut MinHeap<Length, QueueEntry>,
     sink: &mut dyn PathSink,
     reverse_output: bool,
     stats: &mut QueryStats,
@@ -298,7 +322,7 @@ fn emit<O: SubspaceOracle>(
         if lb != INFINITE_LENGTH {
             // Line 9 of Alg. 2: no path in a sub-subspace can be shorter
             // than the path just removed from it.
-            q.push(lb.max(emitted_len), (v, None));
+            q.push(lb.max(emitted_len), (v, None, oracle.generation()));
         } else {
             // A provably empty sub-subspace never enters the queue.
             stats.subspaces_skipped += 1;
@@ -359,5 +383,46 @@ mod tests {
         let r = engine.query(Algorithm::IterBound, 0, &[4], 2).unwrap();
         assert_eq!(r.paths.lengths(), [4, 5]);
         assert_eq!(r.stats.testlb_calls, 1, "{:?}", r.stats);
+    }
+
+    /// IterBound-SPT_I re-keys a subspace against the grown `SPT_I`
+    /// before probing it. A chain 0→1→2→3→4 (arcs of 25) with one detour
+    /// 0→(5+i)→(i+1) per chain arc, priced so that deviating into node
+    /// i+1 costs 104, 103, 102 and 101 in total. `SPT_I`'s initial A\*
+    /// stops on the length-100 chain, so the first division keys all four
+    /// deviations on the zero source bound of the unsettled detour nodes:
+    /// 100 each, after the Alg. 2 line 9 clamp. The first pop grows
+    /// `SPT_I` to τ = 110, which settles every detour node; re-keyed on
+    /// exact `d_s`, each deviation goes back at its true length unprobed,
+    /// and the top-2 `[100, 101]` costs one TestLB probe. Probing on the
+    /// first-division keys, as Alg. 4 does, costs four: every deviation
+    /// is probed once at key 100.
+    #[test]
+    fn spti_rekeys_loose_subspaces_instead_of_probing_them() {
+        use crate::{Algorithm, QueryEngine};
+        use kpj_graph::GraphBuilder;
+        use kpj_landmark::TargetRow;
+        use std::sync::Arc;
+
+        let mut b = GraphBuilder::new(9);
+        for i in 0..4u32 {
+            b.add_edge(i, i + 1, 25).unwrap();
+            b.add_edge(0, 5 + i, 28 + 24 * i).unwrap();
+            b.add_edge(5 + i, i + 1, 1).unwrap();
+        }
+        let g = b.build();
+        let row = Arc::new(TargetRow::build(&g, &[4]));
+        let mut engine = QueryEngine::new(&g).with_target_row(row);
+
+        let r = engine.query(Algorithm::IterBoundI, 0, &[4], 2).unwrap();
+        assert_eq!(r.paths.lengths(), [100, 101]);
+        assert_eq!(r.stats.target_row, 1);
+        assert_eq!(r.stats.testlb_calls, 1, "{:?}", r.stats);
+
+        // Every path, each deviation probed exactly once.
+        let r = engine.query(Algorithm::IterBoundI, 0, &[4], 5).unwrap();
+        assert_eq!(r.paths.lengths(), [100, 101, 102, 103, 104]);
+        assert_eq!(r.stats.testlb_calls, 4, "{:?}", r.stats);
+        assert_eq!(r.stats.testlb_bounded, 0, "{:?}", r.stats);
     }
 }

@@ -161,7 +161,7 @@ pub(crate) struct SubspaceScratch {
     /// `mem::take` for the duration of a run, then put back).
     pub dev_heap: MinHeap<Length, FoundPath>,
     /// Pooled subspace queue of the best-first / iter-bound paradigms.
-    pub para_heap: MinHeap<Length, (VertexId, Option<FoundPath>)>,
+    pub para_heap: MinHeap<Length, QueueEntry>,
     /// The query tracer: a pre-allocated span ring, threaded here so every
     /// primitive and paradigm can record stage spans without new
     /// parameters.
@@ -183,6 +183,12 @@ impl SubspaceScratch {
         }
     }
 }
+
+/// A subspace queue entry, the paper's `⟨S, lb(S), P⟩` triple with the
+/// key in the heap: the subspace's vertex, its shortest path once known,
+/// and the oracle generation its lower-bound key was computed at (see
+/// `SubspaceOracle::generation`; always 0 where bounds never grow).
+pub(crate) type QueueEntry = (VertexId, Option<FoundPath>, u32);
 
 /// Mark the prefix nodes of `vertex` into `prefix_set`.
 fn mark_prefix(tree: &PseudoTree, vertex: VertexId, prefix_set: &mut TimestampedSet) {

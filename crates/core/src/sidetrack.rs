@@ -207,14 +207,14 @@ pub(crate) fn run_sidetrack(
     q.clear();
     let lb0 = comp_lb(ctx, scratch, tree, ROOT, &mut |v| spt.dist(v), stats);
     if lb0 != INFINITE_LENGTH {
-        q.push(lb0, (ROOT, None));
+        q.push(lb0, (ROOT, None, 0));
     }
     let mut more = true;
     while more {
         if ctx.deadline.expired() {
             break;
         }
-        let Some((key, (vertex, payload))) = q.pop() else {
+        let Some((key, (vertex, payload, _))) = q.pop() else {
             break;
         };
         stats.heap_pops += 1;
@@ -230,7 +230,7 @@ pub(crate) fn run_sidetrack(
                 for &v in &affected {
                     let lb = comp_lb(ctx, scratch, tree, v, &mut |x| spt.dist(x), stats);
                     if lb != INFINITE_LENGTH {
-                        q.push(lb.max(emitted_len), (v, None));
+                        q.push(lb.max(emitted_len), (v, None, 0));
                     } else {
                         stats.subspaces_skipped += 1;
                     }
@@ -240,7 +240,7 @@ pub(crate) fn run_sidetrack(
                 scratch.trace.record(Stage::DeviationRound, tick);
             }
             None => match resolve(ctx, scratch, store, tree, spt, vertex, stats) {
-                Resolution::Spliced(f) => q.push(f.length, (vertex, Some(f))),
+                Resolution::Spliced(f) => q.push(f.length, (vertex, Some(f), 0)),
                 Resolution::Empty => {
                     stats.subspaces_skipped += 1;
                 }
@@ -267,8 +267,8 @@ pub(crate) fn run_sidetrack(
                         Some(tau),
                         stats,
                     ) {
-                        SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f))),
-                        SubspaceSearch::Bounded => q.push(tau, (vertex, None)),
+                        SubspaceSearch::Found(f) => q.push(f.length, (vertex, Some(f), 0)),
+                        SubspaceSearch::Bounded => q.push(tau, (vertex, None, 0)),
                         SubspaceSearch::Empty => {}
                         SubspaceSearch::Aborted => break,
                     }

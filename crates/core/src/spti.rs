@@ -10,11 +10,20 @@
 //! the *exact* `d_s(v)` as the source-side bound.
 //!
 //! The queue `Q_T` persists across `grow` calls within one query; a reset
-//! is `O(touched)`.
+//! is `O(touched)`. It is a monotone [`RadixHeap`] with lazy deletion, not
+//! a decrease-key heap. That is sound because every [`TargetsLb`] (zero,
+//! landmark ALT, exact target row) is *consistent*, the same property the
+//! closed-set A\* already relies on: relaxing a settled node's out-edge
+//! never yields a key below the settled node's own, so pushed keys never
+//! drop below the last popped one. An improved label pushes a second
+//! entry; a node's entries pop cheapest first, and the cheapest carries
+//! its current label, so every later entry of a node finds it settled and
+//! is skipped. The queue is drained — and `SPT_I` `complete` — when no
+//! entry of an unsettled node is left.
 
 use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
 use kpj_graph::{Graph, Length, NodeId, PathId, PathStore, INFINITE_LENGTH};
-use kpj_heap::IndexedMinHeap;
+use kpj_heap::RadixHeap;
 use kpj_sp::NO_PARENT;
 
 use crate::bounds::TargetsLb;
@@ -25,7 +34,9 @@ use crate::stats::QueryStats;
 /// Engine-owned `SPT_I` state (see module docs).
 #[derive(Debug)]
 pub(crate) struct SptiStore {
-    heap: IndexedMinHeap<Length>,
+    /// `Q_T`, keyed `d_s(v) + lb(v, V_T)`; may hold stale entries of
+    /// settled nodes.
+    heap: RadixHeap<NodeId>,
     /// Exact `d_s(v) = δ(sources, v)` for settled nodes; tentative labels
     /// for frontier nodes.
     dist: TimestampedMap<Length>,
@@ -41,7 +52,7 @@ pub(crate) struct SptiStore {
 impl SptiStore {
     pub(crate) fn new(n: usize) -> Self {
         SptiStore {
-            heap: IndexedMinHeap::new(n),
+            heap: RadixHeap::new(),
             dist: TimestampedMap::new(n, INFINITE_LENGTH),
             parent: TimestampedMap::new(n, NO_PARENT),
             settled: TimestampedSet::new(n),
@@ -80,22 +91,20 @@ impl SptiStore {
             }
             if self.dist.get(s as usize) > 0 {
                 self.dist.set(s as usize, 0);
-                self.heap.push_or_decrease(s as usize, h);
+                self.heap.push(h, s);
             }
         }
 
         loop {
-            match self.settle_one(g, target_set, to_targets) {
-                None => {
-                    self.complete = true;
-                    stats.nodes_settled += self.settled_count;
-                    return None;
-                }
-                Some(v) if target_set.contains(v as usize) => {
-                    stats.nodes_settled += self.settled_count;
-                    return Some(self.initial_found_path(path_store, v));
-                }
-                Some(_) => {}
+            let Some((_, u)) = self.pop_live() else {
+                self.complete = true;
+                stats.nodes_settled += self.settled_count;
+                return None;
+            };
+            self.settle(g, u, target_set, to_targets);
+            if target_set.contains(u as usize) {
+                stats.nodes_settled += self.settled_count;
+                return Some(self.initial_found_path(path_store, u));
             }
         }
     }
@@ -110,35 +119,52 @@ impl SptiStore {
         stats: &mut QueryStats,
     ) {
         let before = self.settled_count;
-        while let Some((_, key)) = self.heap.peek() {
-            if key > tau {
-                break;
+        loop {
+            match self.pop_live() {
+                None => {
+                    self.complete = true;
+                    break;
+                }
+                // The radix heap has no peek: the first entry above τ is
+                // popped and queued back, which is legal as its key is
+                // the last popped one.
+                Some((key, u)) if key > tau => {
+                    self.heap.push(key, u);
+                    break;
+                }
+                Some((_, u)) => self.settle(g, u, target_set, to_targets),
             }
-            if self.settle_one(g, target_set, to_targets).is_none() {
-                break;
-            }
-        }
-        if self.heap.is_empty() {
-            self.complete = true;
         }
         stats.nodes_settled += self.settled_count - before;
     }
 
-    /// Pop and settle one node, relaxing its out-edges; returns it.
-    fn settle_one(
+    /// Pop the cheapest entry of an unsettled node, discarding the stale
+    /// entries of settled ones; `None` once the queue is drained.
+    fn pop_live(&mut self) -> Option<(Length, NodeId)> {
+        while let Some((key, u)) = self.heap.pop() {
+            if !self.settled.contains(u as usize) {
+                debug_assert!(key >= self.dist.get(u as usize));
+                return Some((key, u));
+            }
+        }
+        None
+    }
+
+    /// Settle `u`, relaxing its out-edges.
+    fn settle(
         &mut self,
         g: &Graph,
+        u: NodeId,
         target_set: &TimestampedSet,
         to_targets: &TargetsLb<'_>,
-    ) -> Option<NodeId> {
-        let (u, _) = self.heap.pop()?;
-        self.settled.insert(u);
+    ) {
+        self.settled.insert(u as usize);
         self.settled_count += 1;
-        if target_set.contains(u) {
-            self.dest_in_spt.push(u as NodeId);
+        if target_set.contains(u as usize) {
+            self.dest_in_spt.push(u);
         }
-        let du = self.dist.get(u);
-        for e in g.out_edges(u as NodeId) {
+        let du = self.dist.get(u as usize);
+        for e in g.out_edges(u) {
             let w = e.to as usize;
             if self.settled.contains(w) {
                 continue;
@@ -150,11 +176,10 @@ impl SptiStore {
                     continue;
                 }
                 self.dist.set(w, nd);
-                self.parent.set(w, u as NodeId);
-                self.heap.push_or_decrease(w, nd.saturating_add(h));
+                self.parent.set(w, u);
+                self.heap.push(nd.saturating_add(h), e.to);
             }
         }
-        Some(u as NodeId)
     }
 
     /// The reverse-orientation initial path ending at destination `d`.
@@ -279,6 +304,14 @@ mod tests {
             .init(&g, &[0], &ts, &TargetsLb::Zero, &mut ps, &mut stats)
             .unwrap();
         // Node 4 is at d_s = 6, node 5 at 11 (keys with zero bounds).
+        // One below node 4's key it stays out, and the entry popped to
+        // see that is queued back for the next call.
+        for _ in 0..2 {
+            store.grow(&g, 5, &ts, &TargetsLb::Zero, &mut stats);
+            assert_eq!(store.exact_dist(4), None);
+            assert_eq!(store.len(), 4);
+            assert!(!store.is_complete());
+        }
         store.grow(&g, 6, &ts, &TargetsLb::Zero, &mut stats);
         assert_eq!(store.exact_dist(4), Some(6));
         assert_eq!(store.exact_dist(5), None);
@@ -317,6 +350,76 @@ mod tests {
             .expect("path");
         assert_eq!(chain_nodes(&ps, &f), vec![3, 2]);
         assert_eq!(f.length, 1);
+
+        // Sources 4 and 0, with 4 listed twice: every source stays at 0.
+        let mut stats = QueryStats::default();
+        let f = store
+            .init(&g, &[4, 0, 4], &ts, &TargetsLb::Zero, &mut ps, &mut stats)
+            .expect("path");
+        assert_eq!(chain_nodes(&ps, &f), vec![3, 2, 1, 0]);
+        assert_eq!(f.length, 3);
+        store.grow(&g, 100, &ts, &TargetsLb::Zero, &mut stats);
+        assert!(store.is_complete());
+        assert_eq!(store.exact_dist(4), Some(0));
+        assert_eq!(store.exact_dist(5), Some(5));
+        assert_eq!(store.exact_dist(1), Some(1));
+        assert_eq!(store.len(), 6);
+        assert_eq!(stats.nodes_settled, 6);
+    }
+
+    #[test]
+    fn stale_queue_entries_are_skipped() {
+        // 0→1 (10), 0→2 (1), 2→1 (1), 1→3 (100): node 1 is queued at
+        // 10, then improved via 2 and queued again at 2. Its first pop
+        // settles it on the improved label.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 10).unwrap();
+        b.add_edge(0, 2, 1).unwrap();
+        b.add_edge(2, 1, 1).unwrap();
+        b.add_edge(1, 3, 100).unwrap();
+        let g = b.build();
+        let mut ts = TimestampedSet::new(4);
+        ts.insert(3);
+        let mut store = SptiStore::new(4);
+        let mut ps = PathStore::new();
+        let mut stats = QueryStats::default();
+        let f = store
+            .init(&g, &[0], &ts, &TargetsLb::Zero, &mut ps, &mut stats)
+            .expect("path");
+        // The stale entry of node 1 (key 10) pops between the settles of
+        // 1 and 3 and changes neither the tree nor the count.
+        assert_eq!(chain_nodes(&ps, &f), vec![3, 1, 2, 0]);
+        assert_eq!(f.length, 102);
+        assert_eq!(store.exact_dist(1), Some(2));
+        assert_eq!(store.len(), 4);
+        assert_eq!(stats.nodes_settled, 4);
+    }
+
+    #[test]
+    fn complete_once_only_stale_entries_remain() {
+        // The previous test's graph without 1→3: once the target 1
+        // settles, the queue holds nothing but node 1's stale entry.
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 10).unwrap();
+        b.add_edge(0, 2, 1).unwrap();
+        b.add_edge(2, 1, 1).unwrap();
+        let g = b.build();
+        let mut ts = TimestampedSet::new(3);
+        ts.insert(1);
+        let mut store = SptiStore::new(3);
+        let mut ps = PathStore::new();
+        let mut stats = QueryStats::default();
+        let f = store
+            .init(&g, &[0], &ts, &TargetsLb::Zero, &mut ps, &mut stats)
+            .expect("path");
+        assert_eq!(f.length, 2);
+        assert!(!store.is_complete());
+        // τ = 5 is below the stale key, yet the drain proves the tree
+        // maximal.
+        store.grow(&g, 5, &ts, &TargetsLb::Zero, &mut stats);
+        assert!(store.is_complete());
+        assert_eq!(store.len(), 3);
+        assert_eq!(stats.nodes_settled, 3);
     }
 
     #[test]
