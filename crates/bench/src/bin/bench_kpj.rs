@@ -12,12 +12,17 @@
 //! target set). The `dense_dijkstra` section times the kernel under
 //! Sidetrack's and DA-SPT's reverse SPT, target rows and landmark tables:
 //! one full backward `DenseDijkstra` search, pooled, on the full-size CAL
-//! road graph and on an 8000-node small world.
+//! road graph and on an 8000-node small world. The `repair` section
+//! replays a trace of road update batches on the full-size CAL graph and
+//! times what the service pays per batch: repairing 16 landmark tables
+//! and the Crater target row into the version two batches back, and
+//! translating the batch onto a reduction of CAL. Every tenth batch the
+//! repaired tables and row are checked against their rebuilds.
 //!
 //! `--compare BASELINE.json` turns the trail into a gate: after the sweep
 //! the fresh report is diffed cell-by-cell (ms/query and allocs/query per
-//! workload × algorithm, the target-row and kernel cells, plus every
-//! k-sweep cell) against the committed
+//! workload × algorithm, the target-row, kernel and repair cells, plus
+//! every k-sweep cell) against the committed
 //! baseline, a delta table goes to stderr, and the process exits non-zero
 //! when any cell regressed by more than `BENCH_REGRESS_PCT` percent
 //! (default 25). A cell the baseline lacks is reported as new and never
@@ -33,11 +38,13 @@ use std::time::Instant;
 
 use kpj_bench::{run_batch, BatchResult, CalEnv};
 use kpj_core::{Algorithm, QueryEngine};
-use kpj_graph::{Graph, NodeId};
-use kpj_landmark::{LandmarkIndex, SelectionStrategy, TargetRow};
+use kpj_graph::{Graph, NodeId, WeightUpdate};
+use kpj_landmark::{LandmarkIndex, RepairScratch, SelectionStrategy, TargetRow};
 use kpj_service::json::Json;
 use kpj_sp::{DenseDijkstra, Direction};
 use kpj_workload::social::SocialConfig;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Counts every allocation (and allocated byte) that reaches the system
 /// allocator. Frees are deliberately not counted: the interesting number
@@ -259,6 +266,163 @@ fn dense_dijkstra_axis() -> Vec<DenseCell> {
         100,
     );
     vec![road, social]
+}
+
+/// Update batches the repair axis replays.
+const REPAIR_BATCHES: usize = 40;
+
+/// Arcs per repair-axis batch: the serving benchmark's update size.
+const TRACE_ARCS: usize = 16;
+
+/// One cell of the repair axis: per-batch times over the trace.
+struct RepairCell {
+    name: &'static str,
+    mean_ms: f64,
+    p90_ms: f64,
+    /// Mean nodes settled per batch (repair cells) or batches that hit a
+    /// chain interior (the translate cell).
+    work: f64,
+}
+
+impl RepairCell {
+    fn new(name: &'static str, mut ms: Vec<f64>, work: f64) -> RepairCell {
+        let mean_ms = ms.iter().sum::<f64>() / ms.len().max(1) as f64;
+        ms.sort_by(|a, b| a.total_cmp(b));
+        let p90_ms = ms[(ms.len() * 9 / 10).min(ms.len() - 1)];
+        eprintln!("  {name:>10}: {mean_ms:>8.3} ms/batch mean  {p90_ms:>8.3} ms p90  ({work:.0})");
+        RepairCell {
+            name,
+            mean_ms,
+            p90_ms,
+            work,
+        }
+    }
+}
+
+/// Batch `j` of a trace shaped like the serving benchmark's: [`TRACE_ARCS`]
+/// arcs of `g` drawn uniformly (self-loops skipped), each re-weighted to
+/// between half and twice its weight in `g`.
+fn trace_batch(g: &Graph, j: u64) -> Vec<WeightUpdate> {
+    let mut rng = SmallRng::seed_from_u64(0x7EA5 ^ j);
+    let (offsets, edges, _, _) = g.sections();
+    let mut batch = Vec::with_capacity(TRACE_ARCS);
+    while batch.len() < TRACE_ARCS {
+        let arc = rng.gen_range(0..edges.len());
+        let from = offsets.partition_point(|&o| o as usize <= arc) - 1;
+        let e = edges[arc];
+        if e.to as usize == from {
+            continue;
+        }
+        let scaled = f64::from(e.weight) * rng.gen_range(0.5..2.0);
+        batch.push(WeightUpdate {
+            from: from as NodeId,
+            to: e.to,
+            weight: (scaled as u32).max(1),
+        });
+    }
+    batch
+}
+
+/// The repair axis on full-size CAL: [`REPAIR_BATCHES`] trace batches,
+/// each repairing 16 Farthest landmark tables and the Crater row the way
+/// the service does (into the version two batches back, through its
+/// journal, in one reused scratch), and each translated onto CAL reduced
+/// around a 4100-source pool and Crater, loaded from its memory-mapped v2
+/// file like the service's. Returns the dataset label and
+/// the `landmarks`, `target_row` and `translate` cells.
+fn repair_axis() -> (String, Vec<RepairCell>) {
+    let env = CalEnv::new(1.0, 16);
+    let crater = env.categories.members(env.cal.crater).to_vec();
+    let trace: Vec<Vec<WeightUpdate>> = (0..REPAIR_BATCHES as u64)
+        .map(|j| trace_batch(&env.graph, j))
+        .collect();
+
+    let mut graph = env.graph.clone();
+    let mut index = env.landmarks.clone();
+    let mut row = TargetRow::build(&graph, &crater);
+    let (mut index_spare, mut row_spare) = (None, None);
+    let (mut index_journal, mut row_journal) = (Vec::new(), Vec::new());
+    let mut scratch = RepairScratch::default();
+    let (mut index_ms, mut row_ms) = (Vec::new(), Vec::new());
+    let (mut index_settled, mut row_settled) = (0u64, 0u64);
+    for (j, batch) in trace.iter().enumerate() {
+        let (next_graph, deltas) = graph.with_updated_weights(batch).expect("trace arcs exist");
+        let t0 = Instant::now();
+        let (next_index, stats) = index.repaired_reusing(
+            &next_graph,
+            &deltas,
+            index_spare.take(),
+            &mut index_journal,
+            &mut scratch,
+        );
+        index_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        index_settled += stats.settled_nodes;
+        let t0 = Instant::now();
+        let (next_row, stats) = row.repaired_reusing(
+            &next_graph,
+            &deltas,
+            row_spare.take(),
+            &mut row_journal,
+            &mut scratch,
+        );
+        row_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        row_settled += stats.settled_nodes;
+        if (j + 1) % 10 == 0 {
+            assert!(
+                next_index == index.rebuilt(&next_graph),
+                "batch {j}: repaired landmark tables differ from their rebuild"
+            );
+            assert!(
+                next_row == row.rebuilt(&next_graph),
+                "batch {j}: repaired target row differs from its rebuild"
+            );
+        }
+        index_spare = Some(std::mem::replace(&mut index, next_index));
+        row_spare = Some(std::mem::replace(&mut row, next_row));
+        graph = next_graph;
+    }
+
+    let sets = env.query_sets(env.cal.crater, 820);
+    let mut keep: Vec<NodeId> = sets.groups.concat();
+    keep.extend_from_slice(&crater);
+    keep.sort_unstable();
+    keep.dedup();
+    let red = kpj_graph::reduce(&env.graph, &keep, &keep);
+    // Served as the service serves it: the reduced v2 file, memory-mapped.
+    let dir = std::env::temp_dir().join(format!("bench-kpj-repair-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create bench scratch dir");
+    let path = dir.join("reduced.kpj2");
+    kpj_store::write_store_to_path(&path, &red.graph, None, None, None, Some(&red.reduction))
+        .expect("write reduced v2");
+    let bundle = kpj_store::open_v2(&path).expect("open reduced v2");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+    let mut reduction = bundle.reduction.expect("the file carries its reduction");
+    let mut reduced = bundle.graph;
+    let mut translate_ms = Vec::new();
+    let mut interior = 0usize;
+    for batch in &trace {
+        let t0 = Instant::now();
+        let t = reduction
+            .translate_updates(&reduced, batch)
+            .expect("trace arcs translate");
+        translate_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        reduced = reduced
+            .with_updated_weights(&t.updates)
+            .expect("translated arcs exist")
+            .0;
+        if let Some(next) = t.reduction {
+            interior += 1;
+            reduction = next;
+        }
+    }
+    let batches = REPAIR_BATCHES as f64;
+    let cells = vec![
+        RepairCell::new("landmarks", index_ms, index_settled as f64 / batches),
+        RepairCell::new("target_row", row_ms, row_settled as f64 / batches),
+        RepairCell::new("translate", translate_ms, interior as f64),
+    ];
+    (format!("CAL n={}", env.graph.node_count()), cells)
 }
 
 struct Workload {
@@ -504,10 +668,10 @@ fn json_escape_free(s: &str) -> &str {
 /// Flatten a report into `(cell key, value)` pairs for the regression
 /// diff: every `workloads.*.algorithms.*` cell contributes its ms/query
 /// and allocs/query, every target-row cell its two ms/query, every
-/// dense-Dijkstra kernel cell its µs/search, every k-sweep cell its
-/// ms/query. Higher is worse for all of them. Sections a (possibly
-/// older-schema) report lacks are simply absent — the diff treats those
-/// cells as new.
+/// dense-Dijkstra kernel cell its µs/search, every repair cell its mean
+/// and p90 ms/batch, every k-sweep cell its ms/query. Higher is worse
+/// for all of them. Sections a (possibly older-schema) report lacks are
+/// simply absent — the diff treats those cells as new.
 fn flatten_cells(doc: &Json) -> Vec<(String, f64)> {
     let mut cells = Vec::new();
     if let Some(Json::Obj(workloads)) = doc.get("workloads") {
@@ -536,6 +700,15 @@ fn flatten_cells(doc: &Json) -> Vec<(String, f64)> {
         for (wname, cell) in kernels {
             if let Some(v) = cell.get("us_per_search").and_then(Json::as_f64) {
                 cells.push((format!("dense_dijkstra/{wname}/us_per_search"), v));
+            }
+        }
+    }
+    if let Some(Json::Obj(repair)) = doc.get("repair").and_then(|r| r.get("cells")) {
+        for (name, cell) in repair {
+            for metric in ["ms_per_batch", "p90_ms"] {
+                if let Some(v) = cell.get(metric).and_then(Json::as_f64) {
+                    cells.push((format!("repair/{name}/{metric}"), v));
+                }
             }
         }
     }
@@ -672,6 +845,10 @@ fn main() {
     eprintln!("==> dense_dijkstra kernel (full backward search, pooled)");
     let dense_cells = dense_dijkstra_axis();
 
+    // Repair axis: what a road update batch costs the service.
+    eprintln!("==> repair (CAL, {REPAIR_BATCHES} trace batches of {TRACE_ARCS} arcs)");
+    let (repair_dataset, repair_cells) = repair_axis();
+
     // k-sweep axis: sidetrack vs the deviation family across k regimes.
     eprintln!("==> k sweep, road (k in {K_SWEEP:?})");
     let road_ksweep = k_sweep_axis(&cal.graph, &cal.landmarks, &road);
@@ -783,7 +960,27 @@ fn main() {
             c.us_per_search,
         );
     }
-    json.push_str("\n  },\n  \"k_sweep\": {\n");
+    let _ = write!(
+        json,
+        "\n  }},\n  \"repair\": {{\n    \"dataset\": \"{}\",\n    \"batches\": {REPAIR_BATCHES},\n    \"arcs_per_batch\": {TRACE_ARCS},\n    \"cells\": {{\n",
+        json_escape_free(&repair_dataset.replace(' ', "_")),
+    );
+    for (i, c) in repair_cells.iter().enumerate() {
+        if i > 0 {
+            json.push_str(",\n");
+        }
+        let work = if c.name == "translate" {
+            "interior_batches"
+        } else {
+            "settled_per_batch"
+        };
+        let _ = write!(
+            json,
+            "      \"{}\": {{\"ms_per_batch\": {:.4}, \"p90_ms\": {:.4}, \"{work}\": {:.0}}}",
+            c.name, c.mean_ms, c.p90_ms, c.work,
+        );
+    }
+    json.push_str("\n    }\n  },\n  \"k_sweep\": {\n");
     for (wi, (name, cells)) in [("road", &road_ksweep), ("social", &social_ksweep)]
         .into_iter()
         .enumerate()
@@ -889,6 +1086,22 @@ mod tests {
     fn kernel_cells_are_flattened() {
         let cells = flatten_cells(&report(Some(900.0), 1.0));
         assert!(cells.contains(&("dense_dijkstra/social/us_per_search".to_string(), 900.0)));
+    }
+
+    #[test]
+    fn repair_cells_are_flattened() {
+        let doc = Json::parse(
+            r#"{"repair": {"cells": {"translate": {"ms_per_batch": 0.5, "p90_ms": 0.9, "interior_batches": 30}}}}"#,
+        )
+        .unwrap();
+        let cells = flatten_cells(&doc);
+        assert_eq!(
+            cells,
+            vec![
+                ("repair/translate/ms_per_batch".to_string(), 0.5),
+                ("repair/translate/p90_ms".to_string(), 0.9),
+            ]
+        );
     }
 
     #[test]

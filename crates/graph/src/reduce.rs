@@ -39,7 +39,7 @@
 //! [`Reduction::remapped`]. See `DESIGN.md` §15.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::csr::{EdgeRef, Graph};
 use crate::remap::NodeRemap;
@@ -75,8 +75,13 @@ pub struct Reduction {
     /// Lazy: `original id → one reduced edge index whose chain contains
     /// it` ([`REDUCED_REMOVED`] if not an interior). Built on first
     /// update translation; a bidirectional interior also lives in the
-    /// stored edge's twin, which lookups must check.
-    interior_of: OnceLock<Box<[u32]>>,
+    /// stored edge's twin, which lookups must check. It depends only on
+    /// topology, so clones and the copies [`translate_updates`] makes
+    /// share one map: a batch that rewrote prefix sums does not make the
+    /// next batch rebuild it.
+    ///
+    /// [`translate_updates`]: Reduction::translate_updates
+    interior_of: Arc<OnceLock<Box<[u32]>>>,
 }
 
 impl Clone for Reduction {
@@ -87,7 +92,7 @@ impl Clone for Reduction {
             exp_offsets: self.exp_offsets.clone(),
             exp_nodes: self.exp_nodes.clone(),
             exp_prefix: self.exp_prefix.clone(),
-            interior_of: OnceLock::new(),
+            interior_of: Arc::clone(&self.interior_of),
         }
     }
 }
@@ -355,7 +360,7 @@ impl Reduction {
             exp_offsets,
             exp_nodes,
             exp_prefix,
-            interior_of: OnceLock::new(),
+            interior_of: Arc::default(),
         })
     }
 
@@ -606,7 +611,7 @@ impl Reduction {
             exp_offsets: self.exp_offsets.clone(),
             exp_nodes: self.exp_nodes.clone(),
             exp_prefix: pf.into(),
-            interior_of: OnceLock::new(),
+            interior_of: Arc::clone(&self.interior_of),
         });
         Ok(TranslatedUpdates {
             updates: out,
@@ -668,7 +673,7 @@ impl Reduction {
             exp_offsets: exp_offsets.into(),
             exp_nodes: exp_nodes.into(),
             exp_prefix: exp_prefix.into(),
-            interior_of: OnceLock::new(),
+            interior_of: Arc::default(),
         }
     }
 }
@@ -1020,7 +1025,7 @@ pub fn reduce(g: &Graph, v_s: &[NodeId], v_t: &[NodeId]) -> Reduced {
         exp_offsets: exp_offsets.into(),
         exp_nodes: exp_nodes.into(),
         exp_prefix: exp_prefix.into(),
-        interior_of: OnceLock::new(),
+        interior_of: Arc::default(),
     };
     Reduced { graph, reduction }
 }
@@ -1267,6 +1272,43 @@ mod tests {
             .unwrap();
         let u2 = t2.updates[0];
         assert_eq!(u2.weight, 1 + 2 + 7 + 4); // reverse hops 4,3,(3→2 now 7),1...
+    }
+
+    #[test]
+    fn translated_copies_share_the_interior_map() {
+        let g = corridor(7);
+        let red = reduce(&g, &[0], &[6]);
+        let (rg, r) = (&red.graph, &red.reduction);
+        let hop = |from, to, weight| WeightUpdate { from, to, weight };
+        let t = r.translate_updates(rg, &[hop(2, 3, 30)]).unwrap();
+        let next = t.reduction.expect("an interior hop rewrites prefix sums");
+        assert!(r.interior_of.get().is_some(), "translation built the map");
+        assert!(Arc::ptr_eq(&r.interior_of, &next.interior_of));
+        let copy = next.clone();
+        assert!(Arc::ptr_eq(&r.interior_of, &copy.interior_of));
+        // The next interior batch, on the updated graph, translates as it
+        // does on a fresh copy that builds its own map.
+        let (rg2, _) = rg.with_updated_weights(&t.updates).unwrap();
+        let (a, b, c, d, e) = next.sections();
+        let fresh = Reduction::from_sections(
+            a.to_vec().into(),
+            b.to_vec().into(),
+            c.to_vec().into(),
+            d.to_vec().into(),
+            e.to_vec().into(),
+            &rg2,
+        )
+        .unwrap();
+        assert!(fresh.interior_of.get().is_none());
+        let batch = [hop(4, 5, 9), hop(5, 4, 2), hop(1, 2, 6)];
+        let shared = next.translate_updates(&rg2, &batch).unwrap();
+        let own = fresh.translate_updates(&rg2, &batch).unwrap();
+        assert_eq!(shared.updates, own.updates);
+        assert_eq!(shared.dropped, own.dropped);
+        assert_eq!(shared.reduction, own.reduction);
+        let shared_next = shared.reduction.expect("interior batch");
+        assert!(Arc::ptr_eq(&r.interior_of, &shared_next.interior_of));
+        assert!(!Arc::ptr_eq(&r.interior_of, &fresh.interior_of));
     }
 
     #[test]

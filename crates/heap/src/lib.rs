@@ -14,9 +14,10 @@
 //!   decrease-key-heavy replay when it was chosen).
 //! * [`RadixHeap`] — a monotone radix heap over `u64` keys with lazy
 //!   deletion: the queue of the whole-graph `DenseDijkstra` (full SPTs,
-//!   target rows, landmark tables) and of the incremental `SPT_I`
-//!   (`QT` in Alg. 7, an A\* under a consistent bound), whose keys never
-//!   drop below the last popped one.
+//!   target rows, landmark tables), of the incremental `SPT_I`
+//!   (`QT` in Alg. 7, an A\* under a consistent bound) and of the
+//!   landmark and target-row repair after an update batch, whose keys
+//!   never drop below the last popped one.
 //! * [`MinHeap`] — a thin min-ordered convenience wrapper around
 //!   `std::collections::BinaryHeap` for queues whose entries are not dense
 //!   (the subspace queue `Q` of Alg. 2/Alg. 4, candidate sets, generators).

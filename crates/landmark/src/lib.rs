@@ -30,7 +30,7 @@
 mod repair;
 mod target_row;
 
-pub use repair::RepairStats;
+pub use repair::{RepairScratch, RepairStats};
 pub use target_row::TargetRow;
 
 use kpj_graph::{Graph, GraphError, Length, NodeId, SectionBuf, INFINITE_LENGTH};

@@ -25,15 +25,22 @@
 //!    re-settled to the same value), but never misses: any shortest path
 //!    that used an increased edge continues from its head along old tight
 //!    edges. The landmark itself is never affected (`d[s] = 0` always).
-//! 2. Reset `d[v] = ∞` for `v ∈ R` and seed a heap with (a) the best
-//!    boundary value `min d[u] + w_new(u→v)` over in-edges of each
-//!    `v ∈ R` from outside `R`, and (b) `d[u] + w_new` for every
-//!    *decreased* edge with tail outside `R`.
+//!    Only the tail of a changed edge can have an out-edge whose old
+//!    weight differs from the graph's, so only there is the batch
+//!    searched for it.
+//! 2. Reset `d[v] = ∞` for `v ∈ R` and queue, writing each into the row
+//!    as a tentative label, (a) the best boundary value
+//!    `min d[u] + w_new(u→v)` over in-edges of each `v ∈ R` from outside
+//!    `R`, and (b) `d[u] + w_new` for every *decreased* edge with tail
+//!    outside `R`.
 //! 3. Run Dijkstra to fixpoint over the whole graph (decreases may
-//!    propagate beyond `R`). Initial distances are valid upper bounds —
-//!    outside `R` the new distance can only be ≤ the old one — so this is
-//!    plain Dijkstra with warm-started bounds and reproduces exactly the
-//!    distance field a from-scratch run would compute.
+//!    propagate beyond `R`) on a monotone radix queue. Initial distances
+//!    are valid upper bounds — outside `R` the new distance can only be
+//!    ≤ the old one — so this is plain Dijkstra with warm-started bounds
+//!    and reproduces exactly the distance field a from-scratch run would
+//!    compute. A node is queued once per strict improvement of its
+//!    label, and a popped entry that is no longer its node's label is
+//!    skipped.
 //!
 //! ## Either direction, any seed set
 //!
@@ -55,10 +62,8 @@
 //! entries it is stale on ([`LandmarkIndex::repaired_reusing`]) — then
 //! nothing in the call is proportional to the table size.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use kpj_graph::{EdgeDelta, Graph, Length, NodeId, INFINITE_LENGTH};
+use kpj_heap::RadixHeap;
 use kpj_sp::{DenseDijkstra, Direction};
 
 use crate::{LandmarkIndex, TargetRow};
@@ -75,25 +80,37 @@ pub struct RepairStats {
     pub settled_nodes: u64,
 }
 
-/// Reusable per-row scratch so an `|L|`-row repair allocates `O(n)` once.
-struct RowScratch {
-    /// Membership bitmap for the affected region `R`.
-    in_region: Vec<bool>,
+/// Working memory of the repair kernel that a caller repairing batch
+/// after batch (the service's updater) keeps and passes to every
+/// `repaired_reusing` call: the region list, the DFS stack and the radix
+/// queue, whose capacities settle after a few batches. The two `n`-sized
+/// flag arrays are not kept; each call allocates and frees its own
+/// (DESIGN.md §14 has the memory measurement behind that).
+#[derive(Debug, Default)]
+pub struct RepairScratch {
     /// Nodes currently flagged in `in_region` (for cheap reset).
     region: Vec<NodeId>,
-    /// BFS stack for growing `R`.
+    /// DFS stack for growing `R`.
     stack: Vec<NodeId>,
-    /// Lazy-deletion Dijkstra heap.
-    heap: BinaryHeap<Reverse<(Length, NodeId)>>,
+    /// Dijkstra queue over tentative labels, lazy deletion.
+    heap: RadixHeap<NodeId>,
 }
 
-impl RowScratch {
+/// One call's node flags, shared by its rows: [`repair_row`] clears
+/// every flag it sets before it returns.
+struct NodeFlags {
+    /// Membership flags for the affected region `R`.
+    in_region: Vec<bool>,
+    /// Flags the tail, in walk direction, of every changed arc: only
+    /// there can an arc's pre-batch weight differ from the graph's.
+    changed_tail: Vec<bool>,
+}
+
+impl NodeFlags {
     fn new(n: usize) -> Self {
-        RowScratch {
+        NodeFlags {
             in_region: vec![false; n],
-            region: Vec::new(),
-            stack: Vec::new(),
-            heap: BinaryHeap::new(),
+            changed_tail: vec![false; n],
         }
     }
 }
@@ -124,10 +141,12 @@ fn normalized_deltas(deltas: &[EdgeDelta]) -> Vec<EdgeDelta> {
 /// Repair one distance row in place. The row holds shortest distances
 /// from the `seeds` (sorted; each at distance 0) along `direction`:
 /// forward from one landmark for landmark tables, backward from every
-/// target for a [`TargetRow`](crate::TargetRow). Every entry written —
-/// region resets and settles — is pushed to `written` as a flat table
-/// index (`base + v`), so a later version can be brought up to date from
-/// this one by copying just those entries.
+/// target for a [`TargetRow`](crate::TargetRow). Every entry written is
+/// pushed to `written` as a flat table index (`base + v`), so a later
+/// version can be brought up to date from this one by copying just those
+/// entries: region resets when they are reset, and every other write at
+/// the settle that fixes its final value (each tentative label is
+/// eventually popped at its last value, so no write escapes the list).
 #[allow(clippy::too_many_arguments)]
 fn repair_row(
     g: &Graph,
@@ -136,7 +155,8 @@ fn repair_row(
     seeds: &[NodeId],
     dist: &mut [Length],
     base: usize,
-    s: &mut RowScratch,
+    s: &mut RepairScratch,
+    f: &mut NodeFlags,
     written: &mut Vec<usize>,
 ) -> (u64, u64) {
     debug_assert!(deltas
@@ -153,13 +173,16 @@ fn repair_row(
         Direction::Forward => old_weight(deltas, u, x, current),
         Direction::Backward => old_weight(deltas, x, u, current),
     };
+    for d in deltas {
+        f.changed_tail[ends(d).0 as usize] = true;
+    }
     // Phase 1: grow the affected region from increased tight edges.
     s.region.clear();
     s.stack.clear();
     // Seeds sit at distance 0 by definition and are never affected.
-    let mark = |v: NodeId, s: &mut RowScratch| {
-        if !s.in_region[v as usize] && seeds.binary_search(&v).is_err() {
-            s.in_region[v as usize] = true;
+    let mark = |v: NodeId, s: &mut RepairScratch, f: &mut NodeFlags| {
+        if !f.in_region[v as usize] && seeds.binary_search(&v).is_err() {
+            f.in_region[v as usize] = true;
             s.region.push(v);
             s.stack.push(v);
         }
@@ -171,7 +194,7 @@ fn repair_row(
             && dt != INFINITE_LENGTH
             && dt + d.old_weight as Length == dist[head as usize]
         {
-            mark(head, s);
+            mark(head, s, f);
         }
     }
     while let Some(u) = s.stack.pop() {
@@ -179,15 +202,23 @@ fn repair_row(
         if du == INFINITE_LENGTH {
             continue;
         }
+        let changed = f.changed_tail[u as usize];
         for e in direction.edges(g, u) {
-            let w_old = walked_old_weight(u, e.to, e.weight);
+            let w_old = if changed {
+                walked_old_weight(u, e.to, e.weight)
+            } else {
+                e.weight
+            };
             if du + w_old as Length == dist[e.to as usize] {
-                mark(e.to, s);
+                mark(e.to, s, f);
             }
         }
     }
+    for d in deltas {
+        f.changed_tail[ends(d).0 as usize] = false;
+    }
     let affected = s.region.len() as u64;
-    // Phase 2: reset the region and seed the heap.
+    // Phase 2: reset the region, then label and queue its boundary.
     s.heap.clear();
     for &v in &s.region {
         dist[v as usize] = INFINITE_LENGTH;
@@ -199,7 +230,7 @@ fn repair_row(
         // the search would come from.
         for e in direction.reversed().edges(g, v) {
             let u = e.to;
-            if s.in_region[u as usize] {
+            if f.in_region[u as usize] {
                 continue;
             }
             let du = dist[u as usize];
@@ -208,39 +239,43 @@ fn repair_row(
             }
         }
         if best != INFINITE_LENGTH {
-            s.heap.push(Reverse((best, v)));
+            dist[v as usize] = best;
+            s.heap.push(best, v);
         }
     }
     for d in deltas {
         let (tail, head) = ends(d);
-        if d.new_weight < d.old_weight && !s.in_region[tail as usize] {
+        if d.new_weight < d.old_weight && !f.in_region[tail as usize] {
             let dt = dist[tail as usize];
             if dt != INFINITE_LENGTH {
                 let cand = dt + d.new_weight as Length;
                 if cand < dist[head as usize] {
-                    s.heap.push(Reverse((cand, head)));
+                    dist[head as usize] = cand;
+                    s.heap.push(cand, head);
                 }
             }
         }
     }
-    // Phase 3: Dijkstra to fixpoint with warm-started upper bounds.
+    // Phase 3: Dijkstra to fixpoint. Labels are tentative: a node is
+    // queued once per strict improvement, and an entry whose key is no
+    // longer its node's label is stale.
     let mut settled = 0u64;
-    while let Some(Reverse((d, v))) = s.heap.pop() {
-        if d >= dist[v as usize] {
+    while let Some((d, v)) = s.heap.pop() {
+        if d != dist[v as usize] {
             continue;
         }
-        dist[v as usize] = d;
         written.push(base + v as usize);
         settled += 1;
         for e in direction.edges(g, v) {
             let cand = d + e.weight as Length;
             if cand < dist[e.to as usize] {
-                s.heap.push(Reverse((cand, e.to)));
+                dist[e.to as usize] = cand;
+                s.heap.push(cand, e.to);
             }
         }
     }
     for &v in &s.region {
-        s.in_region[v as usize] = false;
+        f.in_region[v as usize] = false;
     }
     (affected, settled)
 }
@@ -252,11 +287,18 @@ impl LandmarkIndex {
     /// same graph — the oracle's interleaving mode enforces exactly that
     /// after every applied batch.
     pub fn repaired(&self, updated: &Graph, deltas: &[EdgeDelta]) -> (LandmarkIndex, RepairStats) {
-        self.repaired_reusing(updated, deltas, None, &mut Vec::new())
+        self.repaired_reusing(
+            updated,
+            deltas,
+            None,
+            &mut Vec::new(),
+            &mut RepairScratch::default(),
+        )
     }
 
     /// [`repaired`](LandmarkIndex::repaired) that repairs into `spare`
-    /// instead of a fresh copy of the `|L| × n` tables.
+    /// instead of a fresh copy of the `|L| × n` tables, working in the
+    /// caller's `scratch`.
     ///
     /// `spare` is a retired earlier version of this index (same landmark
     /// set and node count, heap-backed tables). `journal` is in/out: on
@@ -274,6 +316,7 @@ impl LandmarkIndex {
         deltas: &[EdgeDelta],
         spare: Option<LandmarkIndex>,
         journal: &mut Vec<usize>,
+        scratch: &mut RepairScratch,
     ) -> (LandmarkIndex, RepairStats) {
         let n = self.node_count();
         assert_eq!(
@@ -310,7 +353,7 @@ impl LandmarkIndex {
                 .tables
                 .as_mut_slice()
                 .expect("fresh or heap-backed spare");
-            let mut scratch = RowScratch::new(n);
+            let mut flags = NodeFlags::new(n);
             for (l, &source) in self.landmarks().iter().enumerate() {
                 let row = &mut tables[l * n..(l + 1) * n];
                 let (affected, settled) = repair_row(
@@ -320,7 +363,8 @@ impl LandmarkIndex {
                     std::slice::from_ref(&source),
                     row,
                     l * n,
-                    &mut scratch,
+                    scratch,
+                    &mut flags,
                     journal,
                 );
                 stats.affected_nodes += affected;
@@ -349,11 +393,18 @@ impl TargetRow {
     /// batch's [`EdgeDelta`]s. The result is **bit-identical** to
     /// [`TargetRow::rebuilt`] on the same graph.
     pub fn repaired(&self, updated: &Graph, deltas: &[EdgeDelta]) -> (TargetRow, RepairStats) {
-        self.repaired_reusing(updated, deltas, None, &mut Vec::new())
+        self.repaired_reusing(
+            updated,
+            deltas,
+            None,
+            &mut Vec::new(),
+            &mut RepairScratch::default(),
+        )
     }
 
     /// [`repaired`](TargetRow::repaired) that repairs into `spare`, a
-    /// retired earlier version of this row, instead of a fresh copy —
+    /// retired earlier version of this row, instead of a fresh copy,
+    /// working in the caller's `scratch` —
     /// the same journal contract as
     /// [`LandmarkIndex::repaired_reusing`]: on entry `journal` lists the
     /// entries where `spare` may differ from `self`, on return the
@@ -365,6 +416,7 @@ impl TargetRow {
         deltas: &[EdgeDelta],
         spare: Option<TargetRow>,
         journal: &mut Vec<usize>,
+        scratch: &mut RepairScratch,
     ) -> (TargetRow, RepairStats) {
         let n = self.node_count();
         assert_eq!(
@@ -393,7 +445,6 @@ impl TargetRow {
         };
         journal.clear();
         if !sorted.is_empty() {
-            let mut scratch = RowScratch::new(n);
             let (affected, settled) = repair_row(
                 updated,
                 &sorted,
@@ -401,7 +452,8 @@ impl TargetRow {
                 &next.targets,
                 &mut next.dist,
                 0,
-                &mut scratch,
+                scratch,
+                &mut NodeFlags::new(n),
                 journal,
             );
             stats.affected_nodes = affected;
@@ -519,13 +571,15 @@ mod tests {
         let mut idx = LandmarkIndex::build(&g, 4, SelectionStrategy::Farthest, 42);
         let mut spare: Option<(Graph, LandmarkIndex)> = None;
         let (mut stale, mut journal) = (Vec::new(), Vec::new());
+        let mut scratch = RepairScratch::default();
         for round in 0..16u64 {
             let batch = random_batch(&g, 0xF00D ^ round, 1 + round as usize % 6);
             let (graph_spare, index_spare) = spare.take().unzip();
             let (g2, deltas) = g
                 .with_updated_weights_reusing(&batch, graph_spare.map(|old| (old, &stale[..])))
                 .unwrap();
-            let (next, _) = idx.repaired_reusing(&g2, &deltas, index_spare, &mut journal);
+            let (next, _) =
+                idx.repaired_reusing(&g2, &deltas, index_spare, &mut journal, &mut scratch);
             assert_eq!(
                 next.tables(),
                 idx.rebuilt(&g2).tables(),
@@ -618,6 +672,75 @@ mod tests {
         assert_eq!(repaired.tables(), idx.rebuilt(&g2).tables());
     }
 
+    /// A changed arc inside another increased arc's region: `A = 0→1`
+    /// rises from 0 to 7 and its region grows over the zero-weight `1→2`
+    /// into node 2, whose out-arc `B = 2→3` falls from 4 to 0 in the same
+    /// batch. Growing the region must test `B`'s tightness under its
+    /// *pre-batch* weight (`0 + 4 == d[3]`), or node 3 keeps its stale 4
+    /// although every route to it now costs 7. Built once forward (a
+    /// landmark row from 0) and once as its mirror image (a target row to
+    /// 0), where a changed arc's walked tail is its head, and repaired in
+    /// one scratch shared by both directions.
+    #[test]
+    fn changed_arc_inside_an_increased_arcs_region_uses_its_old_weight() {
+        let arcs = [
+            (0, 1, 0),
+            (1, 2, 0),
+            (2, 3, 4),
+            (3, 4, 0),
+            (0, 3, 20),
+            (0, 4, 30),
+        ];
+        let batch = [
+            WeightUpdate {
+                from: 0,
+                to: 1,
+                weight: 7,
+            },
+            WeightUpdate {
+                from: 2,
+                to: 3,
+                weight: 0,
+            },
+        ];
+        let build = |mirror: bool| {
+            let mut b = GraphBuilder::new(5);
+            for &(u, v, w) in &arcs {
+                let (u, v) = if mirror { (v, u) } else { (u, v) };
+                b.add_edge(u, v, w).unwrap();
+            }
+            b.build()
+        };
+        let mirrored = |batch: &[WeightUpdate]| -> Vec<WeightUpdate> {
+            batch
+                .iter()
+                .map(|u| WeightUpdate {
+                    from: u.to,
+                    to: u.from,
+                    weight: u.weight,
+                })
+                .collect()
+        };
+        let mut scratch = RepairScratch::default();
+
+        let g = build(false);
+        let idx =
+            LandmarkIndex::from_parts(vec![0], DenseDijkstra::from_source(&g, 0).into_dist(), 5);
+        assert_eq!(idx.tables(), &[0, 0, 0, 4, 4]);
+        let (g2, deltas) = g.with_updated_weights(&batch).unwrap();
+        let (repaired, _) = idx.repaired_reusing(&g2, &deltas, None, &mut Vec::new(), &mut scratch);
+        assert_eq!(repaired.tables(), &[0, 7, 7, 7, 7]);
+        assert_eq!(repaired.tables(), idx.rebuilt(&g2).tables());
+
+        let g = build(true);
+        let row = TargetRow::build(&g, &[0]);
+        assert_eq!(row.dist(), &[0, 0, 0, 4, 4]);
+        let (g2, deltas) = g.with_updated_weights(&mirrored(&batch)).unwrap();
+        let (repaired, _) = row.repaired_reusing(&g2, &deltas, None, &mut Vec::new(), &mut scratch);
+        assert_eq!(repaired.dist(), &[0, 7, 7, 7, 7]);
+        assert_eq!(repaired, row.rebuilt(&g2));
+    }
+
     /// Repair `row` through `batch` both ways — into a fresh copy and
     /// into the retired `spare` patched through `journal` — and demand
     /// both equal a rebuild. Returns the updated graph and row, and
@@ -638,7 +761,13 @@ mod tests {
             "{what}: repaired copy diverges from rebuild"
         );
         assert_eq!(stats.rows, 1);
-        let (reused, _) = row.repaired_reusing(&g2, &deltas, spare.take(), journal);
+        let (reused, _) = row.repaired_reusing(
+            &g2,
+            &deltas,
+            spare.take(),
+            journal,
+            &mut RepairScratch::default(),
+        );
         assert_eq!(reused, rebuilt, "{what}: repair into spare diverges");
         for (i, (a, b)) in reused.dist().iter().zip(row.dist()).enumerate() {
             assert!(

@@ -194,6 +194,9 @@ pub struct Metrics {
     /// End-to-end latency over every query regardless of algorithm (the
     /// per-algorithm split lives in `registry` under [`Stage::Total`]).
     latency: Histogram,
+    /// Time spent translating each published batch into engine ids
+    /// (through a remap or a reduction).
+    translate: Histogram,
     /// Time spent repairing landmark tables per published batch.
     repair: Histogram,
     /// Per-(algorithm, stage) histograms + per-algorithm work counters.
@@ -235,6 +238,7 @@ impl Metrics {
             update_buffers: [AtomicU64::new(0), AtomicU64::new(0)],
             target_row_builds: AtomicU64::new(0),
             latency: Histogram::default(),
+            translate: Histogram::default(),
             repair: Histogram::default(),
             registry: StageRegistry::new(
                 Algorithm::ALL.iter().map(|a| a.name()).collect(),
@@ -329,13 +333,15 @@ impl Metrics {
     }
 
     /// Record a published weight-update batch: how many distinct edges it
-    /// touched, how long the landmark and target-row repair took (zero
-    /// when the service holds neither), and whether its epoch reused the
-    /// retired previous epoch's buffers or copied the current one.
-    pub fn record_update(&self, edges: u64, repair: Duration, reused: bool) {
+    /// touched, how long its translation into engine ids and the
+    /// landmark and target-row repair took (zero when the service holds
+    /// neither), and whether its epoch reused the retired previous
+    /// epoch's buffers or copied the current one.
+    pub fn record_update(&self, edges: u64, translate: Duration, repair: Duration, reused: bool) {
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
         self.edges_updated.fetch_add(edges, Ordering::Relaxed);
         self.update_buffers[usize::from(!reused)].fetch_add(1, Ordering::Relaxed);
+        self.translate.record(translate);
         self.repair.record(repair);
     }
 
@@ -445,6 +451,16 @@ impl Metrics {
             let _ = writeln!(out, "kpj_landmark_repair_us{{stat=\"{stat}\"}} {value}");
         }
         out.push_str(
+            "# HELP kpj_update_translate_us Time to translate a published update batch into engine ids.\n\
+             # TYPE kpj_update_translate_us gauge\n",
+        );
+        for (stat, value) in [
+            ("mean", self.translate.mean_us()),
+            ("max", self.translate.max_us()),
+        ] {
+            let _ = writeln!(out, "kpj_update_translate_us{{stat=\"{stat}\"}} {value}");
+        }
+        out.push_str(
             "# HELP kpj_uptime_seconds Seconds since the server started; a reset means a restart.\n\
              # TYPE kpj_uptime_seconds gauge\n",
         );
@@ -501,6 +517,8 @@ impl Metrics {
             target_rows: self.gauges.get(gauge::TARGET_ROWS).max(0) as u64,
             target_row_builds: self.target_row_builds.load(Ordering::Relaxed),
             target_row_reads: self.registry.counter_total(field::TARGET_ROW),
+            translate_mean_us: self.translate.mean_us(),
+            translate_max_us: self.translate.max_us(),
             repair_mean_us: self.repair.mean_us(),
             repair_max_us: self.repair.max_us(),
             latency_count: self.latency.count(),
@@ -568,6 +586,10 @@ pub struct MetricsSnapshot {
     pub target_row_builds: u64,
     /// Queries answered with an exact target row.
     pub target_row_reads: u64,
+    /// Mean time to translate a published batch into engine ids, µs.
+    pub translate_mean_us: u64,
+    /// Worst batch translation time, µs.
+    pub translate_max_us: u64,
     /// Mean landmark-repair time per published batch, µs.
     pub repair_mean_us: u64,
     /// Worst landmark-repair time, µs.
@@ -624,11 +646,13 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "updates: epoch_swaps={} edges_updated={} buffers: reused={} copied={} repair_us: mean={} max={}",
+            "updates: epoch_swaps={} edges_updated={} buffers: reused={} copied={} translate_us: mean={} max={} repair_us: mean={} max={}",
             self.epoch_swaps,
             self.edges_updated,
             self.buffers_reused,
             self.buffers_copied,
+            self.translate_mean_us,
+            self.translate_max_us,
             self.repair_mean_us,
             self.repair_max_us
         )?;

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 use std::time::Instant;
 
 use kpj_graph::{EdgeDelta, Graph, NodeId};
-use kpj_landmark::TargetRow;
+use kpj_landmark::{RepairScratch, TargetRow};
 
 use crate::epoch::GraphEpoch;
 use crate::metrics::{event, gauge, Metrics};
@@ -118,13 +118,15 @@ impl TargetRows {
     /// `updated` (the post-batch graph). `spares` are the previous
     /// epoch's rows as returned by the last call: a row whose spare has
     /// retired is written into it through its journal instead of a fresh
-    /// copy. Returns the next set, the spares for the next batch, and the
-    /// nodes whose distance was recomputed.
+    /// copy. The repair kernel works in `scratch`. Returns the next set,
+    /// the spares for the next batch, and the nodes whose distance was
+    /// recomputed.
     pub(crate) fn repaired(
         &self,
         updated: &Graph,
         deltas: &[EdgeDelta],
         mut spares: Vec<RowSpare>,
+        scratch: &mut RepairScratch,
     ) -> (TargetRows, Vec<RowSpare>, u64) {
         let rows = {
             let mut held = self.write();
@@ -146,7 +148,8 @@ impl TargetRows {
                 }
                 None => (None, Vec::new()),
             };
-            let (repaired, stats) = row.repaired_reusing(updated, deltas, spare, &mut journal);
+            let (repaired, stats) =
+                row.repaired_reusing(updated, deltas, spare, &mut journal, scratch);
             affected += stats.affected_nodes;
             next.push(Arc::new(repaired));
             next_spares.push(RowSpare { old: row, journal });
@@ -414,7 +417,9 @@ mod tests {
         assert!(serve_row(&old, &[3, 9], &mut key, &sightings, true, None).is_none());
         // An update batch repairs the old epoch's rows and publishes.
         let (g1, deltas) = reweighted(old.graph(), 4, 9);
-        let (rows, _, _) = old.rows().repaired(&g1, &deltas, Vec::new());
+        let (rows, _, _) =
+            old.rows()
+                .repaired(&g1, &deltas, Vec::new(), &mut RepairScratch::default());
         cell.publish(Arc::new(g1), None, None, rows, deltas.len());
         // A query still pinned to the old epoch does not build there...
         assert!(serve_row(&old, &[3, 9], &mut key, &sightings, true, None).is_none());
@@ -439,9 +444,11 @@ mod tests {
         let mut graph = (*g).clone();
         let (mut current, mut spares) = (rows, Vec::new());
         let mut buffers = Vec::new();
+        let mut scratch = RepairScratch::default();
         for round in 0..4u32 {
             let (next_graph, deltas) = reweighted(&graph, 4, 10 + round);
-            let (next, next_spares, _) = current.repaired(&next_graph, &deltas, spares);
+            let (next, next_spares, _) =
+                current.repaired(&next_graph, &deltas, spares, &mut scratch);
             assert!(!current.has_room(), "repair seals the set it reads");
             let row = next.lookup(&[2, 7]).expect("carried");
             assert_eq!(
@@ -473,13 +480,14 @@ mod tests {
         assert!(first.insert(Arc::new(TargetRow::build(&g, &[2, 7]))));
         assert!(first.insert(Arc::new(TargetRow::build(&g, &[0]))));
         let (g1, deltas) = reweighted(&g, 4, 9);
-        let (second, spares, _) = first.repaired(&g1, &deltas, Vec::new());
+        let (second, spares, _) =
+            first.repaired(&g1, &deltas, Vec::new(), &mut RepairScratch::default());
         drop(first);
         let spare_buffers: Vec<_> = spares.iter().map(|s| s.old.dist().as_ptr()).collect();
         // A set that joined the second epoch has no spare and is copied.
         assert!(second.insert(Arc::new(TargetRow::build(&g1, &[5]))));
         let (g2, deltas) = reweighted(&g1, 5, 9);
-        let (third, _, _) = second.repaired(&g2, &deltas, spares);
+        let (third, _, _) = second.repaired(&g2, &deltas, spares, &mut RepairScratch::default());
         for (set, spare) in [(&[2u32, 7][..], Some(0)), (&[0], Some(1)), (&[5], None)] {
             let row = third.lookup(set).unwrap();
             assert_eq!(*row, TargetRow::build(&g2, set), "{set:?}");

@@ -4,7 +4,6 @@
 //! wrappers over [`KpjService::execute`].
 
 use std::collections::VecDeque;
-use std::fmt::Write;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -13,7 +12,7 @@ use kpj_graph::{
     EdgeDelta, Graph, IdTranslation, Length, NodeId, NodeRemap, PathSet, Reduction, TranslateError,
     WeightUpdate,
 };
-use kpj_landmark::LandmarkIndex;
+use kpj_landmark::{LandmarkIndex, RepairScratch};
 use kpj_obs::Stage;
 
 use crate::cache::{CacheKey, Lookup, ResultCache, Verdict, RING_BATCHES};
@@ -109,68 +108,90 @@ impl Answer {
     }
 
     /// Serialize by walking the flat path storage directly — no
-    /// intermediate owned paths, no JSON value tree. The body is written
-    /// twice, first only to measure it, so that its buffer is allocated
+    /// intermediate owned paths, no JSON value tree. The body's size is
+    /// summed from digit counts first, so that its buffer is allocated
     /// once at its exact size: a cached body carries no slack, and no
     /// reallocation leaves a fragment behind (shrinking a grown buffer
-    /// did, and measurably slowed the cache-hit path).
+    /// did, and measurably slowed the cache-hit path). The integers are
+    /// then written by [`push_decimal`], not through `fmt`.
     fn render_body(&self, want_paths: bool) -> String {
         // One serializer for every QueryStats field — the wire `stats`
         // block and the metrics registry can never drift apart again.
         let mut stats = String::new();
         self.result.stats.write_json(&mut stats);
-        let mut size = ByteCount(0);
-        self.write_body(&mut size, want_paths, &stats)
-            .expect("counting cannot fail");
-        let mut out = String::with_capacity(size.0);
-        self.write_body(&mut out, want_paths, &stats)
-            .expect("writing to a String cannot fail");
-        debug_assert_eq!(out.len(), size.0);
-        out
-    }
-
-    fn write_body(&self, out: &mut impl Write, want_paths: bool, stats: &str) -> std::fmt::Result {
         let paths = &self.result.paths;
-        write!(out, "\"count\":{}", paths.len())?;
-        out.write_str(",\"lengths\":[")?;
+        let node = |n: NodeId| self.remap.as_ref().map_or(n, |r| r.to_external(n));
+        // Commas between `count` items.
+        let commas = |count: usize| count.saturating_sub(1);
+        let mut size = "\"count\":".len() + decimal_len(paths.len() as u64);
+        size += ",\"lengths\":[]".len() + commas(paths.len());
+        size += paths.iter().map(|p| decimal_len(p.length)).sum::<usize>();
+        if want_paths {
+            size += ",\"paths\":[]".len() + commas(paths.len());
+            for p in paths.iter() {
+                size += "[]".len() + commas(p.nodes.len());
+                size += p
+                    .nodes
+                    .iter()
+                    .map(|&n| decimal_len(u64::from(node(n))))
+                    .sum::<usize>();
+            }
+        }
+        size += ",\"stats\":".len() + stats.len();
+
+        let mut out = String::with_capacity(size);
+        out.push_str("\"count\":");
+        push_decimal(&mut out, paths.len() as u64);
+        out.push_str(",\"lengths\":[");
         for (i, p) in paths.iter().enumerate() {
             if i > 0 {
-                out.write_char(',')?;
+                out.push(',');
             }
-            write!(out, "{}", p.length)?;
+            push_decimal(&mut out, p.length);
         }
-        out.write_char(']')?;
+        out.push(']');
         if want_paths {
-            out.write_str(",\"paths\":[")?;
+            out.push_str(",\"paths\":[");
             for (i, p) in paths.iter().enumerate() {
                 if i > 0 {
-                    out.write_char(',')?;
+                    out.push(',');
                 }
-                out.write_char('[')?;
+                out.push('[');
                 for (j, &n) in p.nodes.iter().enumerate() {
                     if j > 0 {
-                        out.write_char(',')?;
+                        out.push(',');
                     }
-                    let n = self.remap.as_ref().map_or(n, |r| r.to_external(n));
-                    write!(out, "{n}")?;
+                    push_decimal(&mut out, u64::from(node(n)));
                 }
-                out.write_char(']')?;
+                out.push(']');
             }
-            out.write_char(']')?;
+            out.push(']');
         }
-        out.write_str(",\"stats\":")?;
-        out.write_str(stats)
+        out.push_str(",\"stats\":");
+        out.push_str(&stats);
+        debug_assert_eq!(out.len(), size);
+        out
     }
 }
 
-/// A [`Write`] sink that only counts the bytes written to it.
-struct ByteCount(usize);
+/// Decimal digits of `v`.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
 
-impl Write for ByteCount {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 += s.len();
-        Ok(())
+/// Append `v` in decimal.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 impl std::ops::Deref for Answer {
@@ -236,9 +257,10 @@ pub struct KpjService {
     /// a graph reduction (DESIGN.md §15).
     translation: IdTranslation,
     /// Serializes weight-update batches (each must see the previous
-    /// one's epoch) and holds the previous epoch's buffers for the next
-    /// batch to write over. Queries never take this lock.
-    updater: Mutex<Option<Spare>>,
+    /// one's epoch) and holds what one batch leaves the next: the
+    /// previous epoch's buffers and the repair kernel's scratch. Queries
+    /// never take this lock.
+    updater: Mutex<Updater>,
     /// The deltas of the last [`RING_BATCHES`] published batches, which
     /// cached answers from older epochs are revalidated against.
     ring: RwLock<DeltaRing>,
@@ -316,6 +338,16 @@ where
     } else {
         Verdict::Decrease
     }
+}
+
+/// The state update batches hand on to each other under the updater lock.
+#[derive(Default)]
+struct Updater {
+    /// The previous epoch's buffers, when the last batch published.
+    spare: Option<Spare>,
+    /// The repair kernel's region list, stack and queue, reused by
+    /// every batch.
+    scratch: RepairScratch,
 }
 
 /// The second buffer of the update double buffer: the epoch before the
@@ -435,7 +467,7 @@ impl KpjService {
             metrics,
             flight,
             translation,
-            updater: Mutex::new(None),
+            updater: Mutex::new(Updater::default()),
             ring: RwLock::new(DeltaRing::default()),
         }
     }
@@ -509,10 +541,14 @@ impl KpjService {
         // updater lock; the guard keeps it balanced across every exit.
         self.metrics.gauges().add(gauge::REPAIR_QUEUE, 1);
         let _depth = RepairQueueGuard(&self.metrics);
-        let mut spare_slot = self
+        let mut updater = self
             .updater
             .lock()
             .expect("updater lock poisoned: an earlier batch panicked");
+        let Updater {
+            spare: spare_slot,
+            scratch,
+        } = &mut *updater;
         let base = self.pool.epochs().pin();
         let translate_started = Instant::now();
         let translated: Vec<WeightUpdate>;
@@ -563,7 +599,7 @@ impl KpjService {
                 &translated
             }
         };
-        let translate_us = translate_started.elapsed().as_micros() as u64;
+        let translate = translate_started.elapsed();
         // `try_unwrap` succeeds exactly when the spare's epoch has retired:
         // the epoch and its pins were the only other owners.
         let (spare_graph, spare_landmarks, stale, mut journal, spare_rows) = match spare_slot
@@ -615,13 +651,14 @@ impl KpjService {
         let (landmarks, landmark_affected) = match base.landmarks() {
             Some(index) => {
                 let (repaired, stats) =
-                    index.repaired_reusing(&graph, &deltas, spare_landmarks, &mut journal);
+                    index.repaired_reusing(&graph, &deltas, spare_landmarks, &mut journal, scratch);
                 (Some(Arc::new(repaired)), stats.affected_nodes)
             }
             None => (None, 0),
         };
         // Every row the serving epoch holds moves on to the next one.
-        let (rows, row_spares, row_affected) = base.rows().repaired(&graph, &deltas, spare_rows);
+        let (rows, row_spares, row_affected) =
+            base.rows().repaired(&graph, &deltas, spare_rows, scratch);
         let affected_nodes = landmark_affected + row_affected;
         let repair = repair_started.elapsed();
         let changed = deltas.len();
@@ -655,7 +692,8 @@ impl KpjService {
             .as_ref()
             .map_or(0, |cache| cache.purge_stale(epoch.id()));
         let purge_us = purge_started.elapsed().as_micros() as u64;
-        self.metrics.record_update(changed as u64, repair, reused);
+        self.metrics
+            .record_update(changed as u64, translate, repair, reused);
         self.metrics.record_event(
             event::EPOCH_PUBLISHED,
             [
@@ -669,7 +707,7 @@ impl KpjService {
             event::UPDATE_APPLIED,
             [
                 epoch.id(),
-                translate_us,
+                translate.as_micros() as u64,
                 repair.as_micros() as u64,
                 purge_us,
             ],
@@ -923,6 +961,62 @@ mod tests {
     use super::*;
     use kpj_core::Algorithm;
     use kpj_graph::GraphBuilder;
+
+    /// The body as `fmt` renders it, field by field: the reference the
+    /// hand-rolled writer must match byte for byte.
+    fn fmt_body(answer: &Answer, want_paths: bool) -> String {
+        let paths = &answer.result.paths;
+        let join = |items: Vec<String>| items.join(",");
+        let mut out = format!(
+            "\"count\":{},\"lengths\":[{}]",
+            paths.len(),
+            join(paths.iter().map(|p| format!("{}", p.length)).collect())
+        );
+        if want_paths {
+            let node = |n: NodeId| answer.remap.as_ref().map_or(n, |r| r.to_external(n));
+            let rendered = paths
+                .iter()
+                .map(|p| {
+                    format!(
+                        "[{}]",
+                        join(p.nodes.iter().map(|&n| format!("{}", node(n))).collect())
+                    )
+                })
+                .collect();
+            out += &format!(",\"paths\":[{}]", join(rendered));
+        }
+        let mut stats = String::new();
+        answer.result.stats.write_json(&mut stats);
+        out + ",\"stats\":" + &stats
+    }
+
+    #[test]
+    fn wire_body_matches_the_fmt_rendering_byte_for_byte() {
+        let n = 12_345u32;
+        let mut paths = PathSet::new();
+        paths.push(&[0, 9, 10], 0);
+        paths.push(&[99, 100, 999, 1_000, n - 1], 9);
+        paths.push(&[7], 10);
+        paths.push(&[12_000, 5, 1], u64::from(u32::MAX) * 4);
+        paths.push(&[], u64::MAX - 1);
+        let stats = kpj_core::QueryStats {
+            final_tau: 1_234_567,
+            ..Default::default()
+        };
+        // Reversal sends small ids to five-digit ones and back.
+        let reversed = NodeRemap::from_old_to_new((0..n).rev().collect()).unwrap();
+        for remap in [None, Some(Arc::new(reversed))] {
+            for paths in [paths.clone(), PathSet::new()] {
+                let answer = Answer::with_remap(KpjResult { paths, stats }, remap.clone());
+                for want_paths in [false, true] {
+                    let body = answer.render_body(want_paths);
+                    assert_eq!(body, fmt_body(&answer, want_paths));
+                    assert_eq!(body.len(), body.capacity(), "exact-size buffer");
+                    assert_eq!(answer.wire_body(want_paths), body);
+                }
+            }
+        }
+    }
 
     /// `0→1→5` (length 2), `0→2→5` (4), `0→3→4→5` (30), and an arc
     /// `6→7` no path from 0 reaches.

@@ -366,6 +366,14 @@ fn status_response(service: &KpjService, id: Json) -> String {
         ("edges_updated".to_string(), Json::from(s.edges_updated)),
         ("buffers_reused".to_string(), Json::from(s.buffers_reused)),
         ("buffers_copied".to_string(), Json::from(s.buffers_copied)),
+        (
+            "translate_mean_us".to_string(),
+            Json::from(s.translate_mean_us),
+        ),
+        (
+            "translate_max_us".to_string(),
+            Json::from(s.translate_max_us),
+        ),
         ("repair_mean_us".to_string(), Json::from(s.repair_mean_us)),
         ("repair_max_us".to_string(), Json::from(s.repair_max_us)),
     ]);

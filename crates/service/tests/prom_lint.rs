@@ -72,6 +72,12 @@ fn full_exposition_passes_the_prometheus_lint() {
         text.contains("kpj_journal_events_total"),
         "journal family missing from the exposition"
     );
+    for stat in ["mean", "max"] {
+        assert!(
+            text.contains(&format!("kpj_update_translate_us{{stat=\"{stat}\"}}")),
+            "update translation {stat} missing from the exposition"
+        );
+    }
     if let Err(violation) = kpj_obs::promlint::lint(&text) {
         // Quote the offending line for a readable failure.
         let lineno: usize = violation

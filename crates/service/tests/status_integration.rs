@@ -146,6 +146,12 @@ fn status_gauges_agree_with_ground_truth_under_interleaved_load() {
     assert_eq!(field(&s, &["updates", "epoch_swaps"]), snap.epoch_swaps);
     assert!(snap.epoch_swaps > 0, "the update thread published epochs");
     assert_eq!(field(&s, &["updates", "edges_updated"]), snap.edges_updated);
+    for (key, value) in [
+        ("translate_mean_us", snap.translate_mean_us),
+        ("translate_max_us", snap.translate_max_us),
+    ] {
+        assert_eq!(field(&s, &["updates", key]), value, "{key}");
+    }
 
     // The journal saw every publish: at least one epoch_published + one
     // update_applied per swap (workers may add epoch_shed events when

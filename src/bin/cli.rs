@@ -790,11 +790,13 @@ fn render_status(out: &mut String, addr: &str, s: &kpj::service::json::Json, rat
     );
     let _ = writeln!(
         out,
-        "updates  swaps={} edges={} reused={} copied={} repair_mean={}us repair_max={}us",
+        "updates  swaps={} edges={} reused={} copied={} translate_mean={}us translate_max={}us repair_mean={}us repair_max={}us",
         u(&["updates", "epoch_swaps"]),
         u(&["updates", "edges_updated"]),
         u(&["updates", "buffers_reused"]),
         u(&["updates", "buffers_copied"]),
+        u(&["updates", "translate_mean_us"]),
+        u(&["updates", "translate_max_us"]),
         u(&["updates", "repair_mean_us"]),
         u(&["updates", "repair_max_us"]),
     );
